@@ -1,7 +1,5 @@
 #include "engine/plan.h"
 
-#include <bit>
-
 #include "util/check.h"
 
 namespace gdp::engine {
@@ -39,10 +37,6 @@ MachineMasks MachineMasks::Build(const partition::DistributedGraph& dg) {
 
 namespace {
 
-// Encode-side packing primitives shared with the edge-block store.
-using util::WritePackedBits;
-using util::ZigZag;
-
 /// Folds a CSR's per-entry machine tags into per-vertex (machine, count)
 /// runs, ascending by machine. Counts are whole adjacency events (the
 /// engine charges 4 quarter-units per event), and integer accounting is
@@ -76,89 +70,24 @@ void BuildAccountingRuns(const std::vector<uint64_t>& offsets,
   }
 }
 
-/// Bit-packs a CSR's neighbor ids into per-vertex zigzag-delta blocks at a
-/// fixed per-vertex width. Entries keep their CSR order (original edge
-/// order — the gather determinism contract); the first delta is taken from
-/// the center id so decode needs no side table.
-void CompressBlocks(const std::vector<uint64_t>& offsets,
-                    const std::vector<graph::VertexId>& nbrs,
-                    std::vector<uint64_t>* blob,
-                    std::vector<uint64_t>* block_bits,
-                    std::vector<uint8_t>* block_width) {
-  const size_t n = offsets.size() - 1;
-  block_bits->assign(n, 0);
-  block_width->assign(n, 1);
-  uint64_t total_bits = 0;
-  for (size_t v = 0; v < n; ++v) {
-    const uint64_t count = offsets[v + 1] - offsets[v];
-    uint32_t width = 1;
-    int64_t prev = static_cast<int64_t>(v);
-    for (uint64_t s = offsets[v]; s < offsets[v + 1]; ++s) {
-      const int64_t id = static_cast<int64_t>(nbrs[s]);
-      const uint32_t need =
-          static_cast<uint32_t>(std::bit_width(ZigZag(id - prev)));
-      width = need > width ? need : width;
-      prev = id;
-    }
-    (*block_width)[v] = static_cast<uint8_t>(width);
-    (*block_bits)[v] = total_bits;
-    total_bits += count * width;
-  }
-  // One padding word past the last encoded bit: the two-word decode load
-  // (ReadPackedBits) may touch words[w + 1] on a straddle.
-  blob->assign((total_bits + 63) / 64 + 1, 0);
-  for (size_t v = 0; v < n; ++v) {
-    uint64_t pos = (*block_bits)[v];
-    const uint32_t width = (*block_width)[v];
-    int64_t prev = static_cast<int64_t>(v);
-    for (uint64_t s = offsets[v]; s < offsets[v + 1]; ++s) {
-      const int64_t id = static_cast<int64_t>(nbrs[s]);
-      WritePackedBits(blob->data(), pos, width, ZigZag(id - prev));
-      pos += width;
-      prev = id;
-    }
-  }
-}
-
 }  // namespace
 
 }  // namespace internal
 
-const char* PlanLayoutName(PlanLayout layout) {
-  switch (layout) {
-    case PlanLayout::kUncompressed:
-      return "uncompressed";
-    case PlanLayout::kCompressed:
-      return "compressed";
-  }
-  return "?";
-}
-
 uint64_t ExecutionPlan::AdjacencyBytes() const {
-  uint64_t bytes = 0;
-  bytes += gather_nbr.size() * sizeof(graph::VertexId);
-  bytes += gather_machine.size() * sizeof(uint8_t);
-  bytes += scatter_target.size() * sizeof(graph::VertexId);
-  bytes += scatter_machine.size() * sizeof(uint8_t);
-  bytes += gather_blob.size() * sizeof(uint64_t);
-  bytes += gather_block_bits.size() * sizeof(uint64_t);
-  bytes += gather_block_width.size() * sizeof(uint8_t);
-  bytes += scatter_blob.size() * sizeof(uint64_t);
-  bytes += scatter_block_bits.size() * sizeof(uint64_t);
-  bytes += scatter_block_width.size() * sizeof(uint8_t);
-  return bytes;
+  return (gather_nbr.size() + scatter_target.size()) *
+         sizeof(graph::VertexId);
 }
 
 ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
                                    EdgeDirection gather_dir,
                                    EdgeDirection scatter_dir,
-                                   bool graphx_counts, PlanLayout layout) {
+                                   bool graphx_counts) {
   GDP_CHECK_LE(dg.num_machines, 64u);
   ExecutionPlan plan;
   plan.dg = &dg;
   plan.gather_dir = gather_dir;
   plan.scatter_dir = scatter_dir;
-  plan.layout = layout;
 
   const graph::VertexId n = dg.num_vertices;
   const uint64_t num_edges = dg.edges.size();
@@ -175,13 +104,9 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
   plan.masks = internal::MachineMasks::Build(dg);
 
   plan.edge_machine.resize(num_edges);
-  plan.machine_edge_count.assign(dg.num_machines == 0 ? 1 : dg.num_machines,
-                                 0);
   for (uint64_t i = 0; i < num_edges; ++i) {
-    const uint8_t m =
+    plan.edge_machine[i] =
         static_cast<uint8_t>(dg.edge_partition[i] % dg.num_machines);
-    plan.edge_machine[i] = m;
-    ++plan.machine_edge_count[m];
   }
 
   const bool gather_in = IncludesIn(gather_dir);
@@ -208,9 +133,11 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
         plan.scatter_offsets[v] + si * in_deg[v] + so * out_deg[v];
   }
   plan.gather_nbr.resize(plan.gather_offsets[n]);
-  plan.gather_machine.resize(plan.gather_offsets[n]);
   plan.scatter_target.resize(plan.scatter_offsets[n]);
-  plan.scatter_machine.resize(plan.scatter_offsets[n]);
+  // Per-entry machine tags, slot-aligned with the neighbor arrays. They
+  // only feed the accounting run tables below and die with this frame.
+  std::vector<uint8_t> gather_tags(plan.gather_offsets[n]);
+  std::vector<uint8_t> scatter_tags(plan.scatter_offsets[n]);
 
   // Fill pass in ORIGINAL edge order, with the in-direction (dst-center)
   // entry of an edge appended before its out-direction (src-center) entry.
@@ -225,51 +152,33 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
     if (gather_in) {
       const uint64_t slot = plan.gather_offsets[e.dst] + gather_fill[e.dst]++;
       plan.gather_nbr[slot] = e.src;
-      plan.gather_machine[slot] = m;
+      gather_tags[slot] = m;
     }
     if (gather_out) {
       const uint64_t slot = plan.gather_offsets[e.src] + gather_fill[e.src]++;
       plan.gather_nbr[slot] = e.dst;
-      plan.gather_machine[slot] = m;
+      gather_tags[slot] = m;
     }
     if (scatter_out) {
       const uint64_t slot =
           plan.scatter_offsets[e.src] + scatter_fill[e.src]++;
       plan.scatter_target[slot] = e.dst;
-      plan.scatter_machine[slot] = m;
+      scatter_tags[slot] = m;
     }
     if (scatter_in) {
       const uint64_t slot =
           plan.scatter_offsets[e.dst] + scatter_fill[e.dst]++;
       plan.scatter_target[slot] = e.src;
-      plan.scatter_machine[slot] = m;
+      scatter_tags[slot] = m;
     }
   }
 
-  // Accounting runs come from the per-entry machine tags; after this the
-  // tags themselves are only needed by the uncompressed layout (the legacy
-  // per-edge kernels).
-  internal::BuildAccountingRuns(plan.gather_offsets, plan.gather_machine,
+  internal::BuildAccountingRuns(plan.gather_offsets, gather_tags,
                                 dg.num_machines, &plan.gather_run_offsets,
                                 &plan.gather_runs);
-  internal::BuildAccountingRuns(plan.scatter_offsets, plan.scatter_machine,
+  internal::BuildAccountingRuns(plan.scatter_offsets, scatter_tags,
                                 dg.num_machines, &plan.scatter_run_offsets,
                                 &plan.scatter_runs);
-
-  if (layout == PlanLayout::kCompressed) {
-    internal::CompressBlocks(plan.gather_offsets, plan.gather_nbr,
-                             &plan.gather_blob, &plan.gather_block_bits,
-                             &plan.gather_block_width);
-    internal::CompressBlocks(plan.scatter_offsets, plan.scatter_target,
-                             &plan.scatter_blob, &plan.scatter_block_bits,
-                             &plan.scatter_block_width);
-    // Release the CSR arrays: the compressed engine path never touches
-    // them, and keeping them would defeat the memory shrink.
-    plan.gather_nbr = {};
-    plan.gather_machine = {};
-    plan.scatter_target = {};
-    plan.scatter_machine = {};
-  }
 
   if (graphx_counts) {
     plan.gather_partition_count.assign(n, 0);

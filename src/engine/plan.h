@@ -7,7 +7,6 @@
 #include "engine/gas_app.h"
 #include "partition/distributed_graph.h"
 #include "sim/cluster.h"
-#include "util/bitpack.h"
 #include "util/check.h"
 
 namespace gdp::engine {
@@ -35,37 +34,15 @@ inline uint64_t DirectionMask(const MachineMasks& masks, EdgeDirection dir,
   return m;
 }
 
-/// Reads `width` bits starting at absolute bit `bit_pos` of a packed word
-/// array. Forwarded to the shared codec in util/bitpack.h (also used by the
-/// compressed edge-block store); kept under this name so plan internals
-/// read uniformly. The array must carry one padding word past the last
-/// encoded bit so words[w + 1] is always dereferenceable.
-using util::ReadPackedBits;
-
 }  // namespace internal
-
-/// Physical layout of a plan's adjacency arrays.
-///
-///  - kUncompressed: plain CSR — one 4-byte neighbor id plus one 1-byte
-///    machine tag per entry (the PR-2 representation).
-///  - kCompressed: per-vertex zigzag-delta blocks bit-packed at a fixed
-///    per-vertex width, decoded with word-aligned loads in ORIGINAL edge
-///    order (so float gather folds stay bit-identical to the serial
-///    oracle); per-entry machine tags are dropped entirely — the batched
-///    accounting run tables carry the per-machine counts instead.
-enum class PlanLayout { kUncompressed, kCompressed };
-
-/// Display name of a plan layout ("uncompressed" / "compressed").
-const char* PlanLayoutName(PlanLayout layout);
 
 /// Everything the superstep loop needs that is a pure function of the
 /// partitioned graph and the application's edge directions, precomputed
 /// once instead of per-run/per-superstep:
 ///
-///  - per-direction adjacency over the partitioned edges (CSR or
-///    delta-compressed blocks, see PlanLayout), so gather/scatter traverse
-///    only the frontier's adjacency instead of scanning the whole edge
-///    vector;
+///  - per-direction CSR adjacency over the partitioned edges, so
+///    gather/scatter traverse only the frontier's adjacency instead of
+///    scanning the whole edge vector;
 ///  - per-vertex (machine, count) accounting runs, so charging a center's
 ///    simulated work is one multiply per distinct machine instead of one
 ///    accumulator call per edge (integer sums are order-free, which is why
@@ -81,40 +58,32 @@ const char* PlanLayoutName(PlanLayout layout);
 ///
 /// Determinism note (load-bearing): gather adjacency entries for one center
 /// are stored in *original edge order*, with the in-direction entry of an
-/// edge preceding its out-direction entry — in both layouts. The
-/// restriction of the serial engine's global edge scan to one center's
-/// edges is exactly this order, so folding a center's neighbors through
-/// either representation reproduces the serial engine's floating-point
-/// gather results bit-for-bit.
+/// edge preceding its out-direction entry. The restriction of the serial
+/// engine's global edge scan to one center's edges is exactly this order,
+/// so folding a center's neighbors through the CSR reproduces the serial
+/// engine's floating-point gather results bit-for-bit.
 struct ExecutionPlan {
   const partition::DistributedGraph* dg = nullptr;
   EdgeDirection gather_dir = EdgeDirection::kNone;
   EdgeDirection scatter_dir = EdgeDirection::kNone;
-  PlanLayout layout = PlanLayout::kUncompressed;
 
   internal::MachineMasks masks;
 
   /// Machine hosting edge i (dg->edge_partition[i] % num_machines).
   std::vector<uint8_t> edge_machine;
-  /// Edges hosted per machine (bucket sizes).
-  std::vector<uint64_t> machine_edge_count;
 
   /// Gather adjacency offsets: center v owns entries [gather_offsets[v],
-  /// gather_offsets[v+1]) of whichever representation the layout stores.
+  /// gather_offsets[v+1]) of gather_nbr.
   std::vector<uint64_t> gather_offsets;
-  /// kUncompressed only: neighbor whose state v folds, per entry.
+  /// Neighbor whose state v folds, per entry.
   std::vector<graph::VertexId> gather_nbr;
-  /// kUncompressed only: machine charged for the fold, per entry.
-  std::vector<uint8_t> gather_machine;
 
   /// Scatter adjacency offsets (same contract as gather_offsets).
   std::vector<uint64_t> scatter_offsets;
-  /// kUncompressed only: neighbor woken into the next frontier, per entry.
+  /// Neighbor woken into the next frontier, per entry.
   std::vector<graph::VertexId> scatter_target;
-  /// kUncompressed only: machine charged for the scatter, per entry.
-  std::vector<uint8_t> scatter_machine;
 
-  // --- Batch-accounting run tables (both layouts) --------------------------
+  // --- Batch-accounting run tables -----------------------------------------
   // For center v, entries [gather_run_offsets[v], gather_run_offsets[v+1])
   // of gather_runs are packed (machine, count) pairs in ascending machine
   // order: v's adjacency charges `count` whole work units to `machine`.
@@ -137,20 +106,6 @@ struct ExecutionPlan {
     return run & kRunCountMask;
   }
 
-  // --- Compressed blocks (kCompressed only) --------------------------------
-  // Neighbor ids are stored per vertex as zigzag deltas (first entry
-  // relative to the center id, each later entry relative to its
-  // predecessor), bit-packed at the per-vertex width gather_block_width[v]
-  // starting at absolute bit gather_block_bits[v] of gather_blob. Entry
-  // counts come from gather_offsets. The blob carries one padding word so
-  // the two-word decode load never runs past the end.
-  std::vector<uint64_t> gather_blob;
-  std::vector<uint64_t> gather_block_bits;
-  std::vector<uint8_t> gather_block_width;
-  std::vector<uint64_t> scatter_blob;
-  std::vector<uint64_t> scatter_block_bits;
-  std::vector<uint8_t> scatter_block_width;
-
   /// GraphX-only per-PARTITION fan-out counts (empty otherwise): Spark
   /// materializes one shuffle block per (vertex, edge-partition) pair, so
   /// its compute cost tracks partition-level replication even when
@@ -158,11 +113,10 @@ struct ExecutionPlan {
   std::vector<uint16_t> gather_partition_count;
   std::vector<uint16_t> scatter_partition_count;
 
-  /// Bytes held by the layout-dependent adjacency representation (CSR
-  /// neighbor/machine arrays for kUncompressed; blobs plus per-vertex
-  /// block metadata for kCompressed). The memory-shrink claims compare
-  /// this across layouts; shared structures (offsets, runs, masks) are
-  /// identical in both and excluded.
+  /// Bytes held by the per-entry neighbor arrays (gather_nbr,
+  /// scatter_target): what PlanCache's byte budget charges per plan.
+  /// edge_machine and the per-vertex structures (offsets, runs, masks) are
+  /// not counted.
   uint64_t AdjacencyBytes() const;
 
   /// Degrees for the application context: dg's ingest-time cache when it
@@ -182,47 +136,13 @@ struct ExecutionPlan {
   /// builds the per-partition fan-out tables (EngineKind::kGraphXPregel).
   static ExecutionPlan Build(const partition::DistributedGraph& dg,
                              EdgeDirection gather_dir,
-                             EdgeDirection scatter_dir, bool graphx_counts,
-                             PlanLayout layout = PlanLayout::kUncompressed);
+                             EdgeDirection scatter_dir, bool graphx_counts);
 
  private:
   // Fallback degree storage when dg lacks the cache (hand-built graphs).
   std::vector<uint64_t> owned_out_degree_;
   std::vector<uint64_t> owned_in_degree_;
 };
-
-namespace internal {
-
-/// Streaming decoder over one vertex's compressed adjacency block,
-/// yielding neighbor ids in the exact order the uncompressed CSR stores
-/// them (original edge order — the gather determinism contract).
-class CompressedBlockCursor {
- public:
-  CompressedBlockCursor(const std::vector<uint64_t>& blob, uint64_t bit_pos,
-                        uint8_t width, graph::VertexId center)
-      : words_(blob.data()),
-        bit_pos_(bit_pos),
-        width_(width),
-        prev_(static_cast<int64_t>(center)) {}
-
-  /// Decodes and returns the next neighbor id.
-  graph::VertexId Next() {
-    const uint64_t zig = ReadPackedBits(words_, bit_pos_, width_);
-    bit_pos_ += width_;
-    const int64_t delta =
-        static_cast<int64_t>(zig >> 1) ^ -static_cast<int64_t>(zig & 1);
-    prev_ += delta;
-    return static_cast<graph::VertexId>(prev_);
-  }
-
- private:
-  const uint64_t* words_;
-  uint64_t bit_pos_;
-  uint32_t width_;
-  int64_t prev_;
-};
-
-}  // namespace internal
 
 }  // namespace gdp::engine
 

@@ -21,7 +21,7 @@ namespace gdp::engine {
 /// plan.cc rebuilds both per-direction CSRs for every run of every
 /// application on the same partition; across a grid of N applications that
 /// is N rebuilds of identical structures. A PlanCache builds each distinct
-/// (gather_dir, scatter_dir, graphx_counts, layout) plan once and hands out
+/// (gather_dir, scatter_dir, graphx_counts) plan once and hands out
 /// shared pointers; plans are immutable after Build (plan.h), so one
 /// cached plan can back any number of concurrent engine runs.
 ///
@@ -48,11 +48,12 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// The plan for the given directions and adjacency layout, building it
-  /// on first use. The shared_ptr keeps the plan alive across eviction.
-  std::shared_ptr<const ExecutionPlan> Get(
-      EdgeDirection gather_dir, EdgeDirection scatter_dir, bool graphx_counts,
-      PlanLayout layout = PlanLayout::kUncompressed) GDP_EXCLUDES(mu_);
+  /// The plan for the given directions, building it on first use. The
+  /// shared_ptr keeps the plan alive across eviction.
+  std::shared_ptr<const ExecutionPlan> Get(EdgeDirection gather_dir,
+                                           EdgeDirection scatter_dir,
+                                           bool graphx_counts)
+      GDP_EXCLUDES(mu_);
 
   const partition::DistributedGraph& dg() const { return *dg_; }
 
@@ -78,7 +79,7 @@ class PlanCache {
   const obs::MetricsRegistry& registry() const { return registry_; }
 
  private:
-  using Key = std::tuple<EdgeDirection, EdgeDirection, bool, PlanLayout>;
+  using Key = std::tuple<EdgeDirection, EdgeDirection, bool>;
 
   struct Slot {
     std::once_flag once;

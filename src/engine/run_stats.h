@@ -9,38 +9,10 @@
 
 namespace gdp::engine {
 
-/// Which accounting kernels the parallel engine's superstep loop runs.
-///
-///  - kBatched (default): per-vertex machine-bucketed run tables (plan.h)
-///    charge a whole adjacency block with one multiply per distinct
-///    machine, and dense scatters collect wakeups in lane-local bitsets
-///    merged word-parallel. Bit-identical to kPerEdge by construction —
-///    the charges are integer quarter-units and integer sums are
-///    order-free.
-///  - kPerEdge: one accumulator call per adjacency entry (the PR-2
-///    kernels), preserved as the in-tree baseline the kernel-scaling
-///    claims measure against and as an extra identity oracle. Requires
-///    PlanLayout::kUncompressed (it reads the per-entry machine tags).
-enum class KernelMode { kBatched, kPerEdge };
-
-/// Display name of a kernel mode ("batched" / "per-edge").
-inline const char* KernelModeName(KernelMode mode) {
-  switch (mode) {
-    case KernelMode::kBatched:
-      return "batched";
-    case KernelMode::kPerEdge:
-      return "per-edge";
-  }
-  return "?";
-}
-
 /// Knobs for one engine run.
 struct RunOptions {
   /// Hard iteration cap; convergence may stop the run earlier.
   uint32_t max_iterations = 100;
-  /// Accounting/frontier kernel flavor; simulated costs are bit-identical
-  /// across modes (see KernelMode).
-  KernelMode kernel_mode = KernelMode::kBatched;
   /// PowerLyra degree threshold separating its low-/high-degree handling.
   uint64_t high_degree_threshold = 100;
   /// Extra multiplier on per-edge/vertex compute work (GraphX's JVM and

@@ -13,8 +13,7 @@
 namespace gdp::graph {
 
 /// The edge stream chunked into fixed-size blocks, each compressed with
-/// zigzag-delta bit packing (the idiom the compressed CSR plan layout in
-/// engine/plan.cc proved out): within a block, edge i stores
+/// zigzag-delta bit packing: within a block, edge i stores
 /// ZigZag(src_i - src_{i-1}) and ZigZag(dst_i - dst_{i-1}) back to back at
 /// two per-block fixed widths; the block's first edge is kept raw as the
 /// delta base. Generated and real edge streams are bursty in src (loaders

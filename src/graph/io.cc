@@ -45,6 +45,16 @@ util::StatusOr<EdgeList> LoadEdgeList(const std::string& path, bool renumber) {
                     static_cast<unsigned long long>(line_no));
       return util::Status::InvalidArgument(std::string(buf) + " in " + path);
     }
+    // Raw ids become VertexIds as-is, and num_vertices is max id + 1, so
+    // kInvalidVertex (2^32 - 1) and above would wrap.
+    if (!renumber && (u >= kInvalidVertex || v >= kInvalidVertex)) {
+      char buf[128];
+      std::snprintf(buf, sizeof(buf),
+                    "vertex id %llu at line %llu exceeds the 32-bit id range",
+                    static_cast<unsigned long long>(u >= v ? u : v),
+                    static_cast<unsigned long long>(line_no));
+      return util::Status::InvalidArgument(std::string(buf) + " in " + path);
+    }
     edges.AddEdge(map_id(u), map_id(v));
   }
   return edges;

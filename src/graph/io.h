@@ -13,7 +13,9 @@ namespace gdp::graph {
 util::Status SaveEdgeList(const EdgeList& edges, const std::string& path);
 
 /// Loads a plain-text edge list. Vertex ids are dense-renumbered in order of
-/// first appearance when `renumber` is true (SNAP files have sparse ids).
+/// first appearance when `renumber` is true (SNAP files have sparse ids);
+/// otherwise they are kept as-is, and an id of 2^32 - 1 or more is
+/// InvalidArgument.
 util::StatusOr<EdgeList> LoadEdgeList(const std::string& path,
                                       bool renumber = true);
 

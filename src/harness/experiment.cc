@@ -138,8 +138,8 @@ namespace {
 
 /// Runs one GAS application, on a cached plan when `plans` is provided and
 /// on a freshly built one otherwise. The two paths are bit-identical: a
-/// plan is a pure function of (dg, directions, graphx flag, layout), and
-/// the direction pair is pinned by the App type.
+/// plan is a pure function of (dg, directions, graphx flag), and the
+/// direction pair is pinned by the App type.
 template <typename App>
 engine::GasRunResult<App> RunGas(const ExperimentSpec& spec,
                                  const partition::DistributedGraph& dg,
@@ -148,13 +148,13 @@ engine::GasRunResult<App> RunGas(const ExperimentSpec& spec,
                                  const engine::RunOptions& options) {
   const bool graphx = spec.engine == engine::EngineKind::kGraphXPregel;
   if (plans != nullptr) {
-    const std::shared_ptr<const engine::ExecutionPlan> plan = plans->Get(
-        App::kGatherDir, App::kScatterDir, graphx, spec.plan_layout);
+    const std::shared_ptr<const engine::ExecutionPlan> plan =
+        plans->Get(App::kGatherDir, App::kScatterDir, graphx);
     return engine::RunGasEngine(spec.engine, *plan, cluster, std::move(app),
                                 options);
   }
   const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
-      dg, App::kGatherDir, App::kScatterDir, graphx, spec.plan_layout);
+      dg, App::kGatherDir, App::kScatterDir, graphx);
   return engine::RunGasEngine(spec.engine, plan, cluster, std::move(app),
                               options);
 }
@@ -213,14 +213,13 @@ void RunApp(const ExperimentSpec& spec,
         if (plans != nullptr) {
           const std::shared_ptr<const engine::ExecutionPlan> plan =
               plans->Get(apps::KCoreApp::kGatherDir,
-                         apps::KCoreApp::kScatterDir, graphx,
-                         spec.plan_layout);
+                         apps::KCoreApp::kScatterDir, graphx);
           return apps::KCoreDecompose(spec.engine, *plan, cluster,
                                       spec.kcore_kmin, spec.kcore_kmax, opts);
         }
         const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
             dg, apps::KCoreApp::kGatherDir, apps::KCoreApp::kScatterDir,
-            graphx, spec.plan_layout);
+            graphx);
         return apps::KCoreDecompose(spec.engine, plan, cluster,
                                     spec.kcore_kmin, spec.kcore_kmax, opts);
       }();
@@ -247,14 +246,13 @@ void RunApp(const ExperimentSpec& spec,
         if (plans != nullptr) {
           const std::shared_ptr<const engine::ExecutionPlan> plan =
               plans->Get(apps::NeighborListApp::kGatherDir,
-                         apps::NeighborListApp::kScatterDir, graphx,
-                         spec.plan_layout);
+                         apps::NeighborListApp::kScatterDir, graphx);
           return apps::CountTriangles(spec.engine, *plan, cluster,
                                       run_options);
         }
         const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
             dg, apps::NeighborListApp::kGatherDir,
-            apps::NeighborListApp::kScatterDir, graphx, spec.plan_layout);
+            apps::NeighborListApp::kScatterDir, graphx);
         return apps::CountTriangles(spec.engine, plan, cluster, run_options);
       }();
       out->compute = r.stats;

@@ -52,10 +52,6 @@ struct ExperimentSpec {
   uint32_t kcore_kmin = 10;
   uint32_t kcore_kmax = 20;
   uint64_t seed = 42;
-  /// Adjacency layout for the execution plans this cell builds (plan.h).
-  /// kCompressed stores delta-varint blocks (~2x smaller on heavy-tailed
-  /// graphs); simulated results are bit-identical across layouts.
-  engine::PlanLayout plan_layout = engine::PlanLayout::kUncompressed;
   /// Parallel loaders (0 = one per machine, the paper's setup).
   uint32_t num_loaders = 0;
   /// Streaming ingress: feed the partitioners from a compressed

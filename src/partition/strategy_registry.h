@@ -63,7 +63,7 @@ struct StrategyInfo {
   /// Canonical display name ("Grid", "HDRF", "NE", ...).
   std::string name;
   /// Extra names StrategyFromName accepts ("Canonical Random", ...).
-  std::vector<std::string> aliases;
+  std::vector<std::string> aliases = {};
   StrategyTraits traits;
   std::unique_ptr<Partitioner> (*factory)(const PartitionContext&) = nullptr;
 };

@@ -20,9 +20,9 @@ const char* QueryKindName(QueryKind kind) {
 }
 
 bool SameAnswer(const Response& a, const Response& b) {
-  return a.rejected == b.rejected && a.reachable == b.reachable &&
-         a.in_core == b.in_core && a.distance == b.distance &&
-         a.top_vertices == b.top_vertices;
+  return a.rejected == b.rejected && a.invalid == b.invalid &&
+         a.reachable == b.reachable && a.in_core == b.in_core &&
+         a.distance == b.distance && a.top_vertices == b.top_vertices;
 }
 
 std::vector<Request> GenerateArrivalTrace(

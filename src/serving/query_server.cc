@@ -63,6 +63,23 @@ engine::RunOptions BatchRunOptions(const harness::ExperimentSpec& spec,
   return options;
 }
 
+/// True when `request` names a fleet graph and every vertex its kind reads
+/// lies inside that graph; phase B indexes engine states by these ids.
+bool IsValid(const Request& request, const std::vector<GraphConfig>& fleet) {
+  if (request.graph >= fleet.size()) return false;
+  const graph::VertexId n = fleet[request.graph].edges->num_vertices();
+  switch (request.kind) {
+    case QueryKind::kSsspDistance:
+    case QueryKind::kBfsReachable:
+      return request.source < n && request.target < n;
+    case QueryKind::kKCoreMember:
+      return request.source < n;
+    case QueryKind::kPageRankTopN:
+      return true;
+  }
+  return false;
+}
+
 /// The `top_n` highest-ranked vertices, rank descending with vertex id
 /// ascending on exact rank ties — a total order, so the list is unique.
 std::vector<graph::VertexId> TopNVertices(const std::vector<double>& ranks,
@@ -119,7 +136,14 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
       GDP_CHECK_EQ(request.id, static_cast<uint32_t>(&request - &trace[0]));
       GDP_CHECK_GE(request.arrival_us, last_arrival);
       last_arrival = request.arrival_us;
-      GDP_CHECK_LT(request.graph, fleet_.size());
+      // A malformed request is answered as invalid before admission: it
+      // takes no queue slot and joins no batch.
+      if (!IsValid(request, fleet_)) {
+        result.responses[request.id].invalid = true;
+        ++result.invalid;
+        invalid_->Increment();
+        continue;
+      }
 
       const uint32_t window =
           static_cast<uint32_t>(request.arrival_us / options_.window_us);
@@ -189,8 +213,7 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
       PlanShapeFor(batch.kind, &gather, &scatter);
       batch.plan = batch.entry->plans->Get(
           gather, scatter,
-          config.spec.engine == engine::EngineKind::kGraphXPregel,
-          config.spec.plan_layout);
+          config.spec.engine == engine::EngineKind::kGraphXPregel);
     }
     batches_->Increment();
     if (batch.request_ids.size() > 1) {
@@ -215,8 +238,7 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
       plan = std::make_shared<engine::ExecutionPlan>(
           engine::ExecutionPlan::Build(
               entry.ingest.graph, gather, scatter,
-              config.spec.engine == engine::EngineKind::kGraphXPregel,
-              config.spec.plan_layout));
+              config.spec.engine == engine::EngineKind::kGraphXPregel));
     }
 
     sim::Cluster cluster(config.spec.num_machines, sim::CostModel{});

@@ -59,6 +59,9 @@ struct ServeResult {
   std::vector<Response> responses;
   uint64_t admitted = 0;
   uint64_t rejected = 0;
+  /// Failed validation, so never queued or batched. admitted + rejected +
+  /// invalid == trace size.
+  uint64_t invalid = 0;
   uint64_t batches = 0;      ///< engine dispatches (== engine runs)
   uint64_t makespan_us = 0;  ///< completion time of the last batch
   /// Requests served per simulated second (admitted / makespan).
@@ -73,8 +76,9 @@ struct ServeResult {
 /// Multi-tenant query server over a fleet of pre-partitioned graphs.
 ///
 /// Serve() runs the trace through three deterministic phases:
-///   A (serial)   — windowed admission control (bounded queue + per-tenant
-///                  quota), batch formation in arrival order, and cache
+///   A (serial)   — request validation (graph index, vertex ids), windowed
+///                  admission control (bounded queue + per-tenant quota),
+///                  batch formation in arrival order, and cache
 ///                  warm-up: every PartitionCache/PlanCache lookup happens
 ///                  here, serially in batch order, so eviction order under
 ///                  a byte budget is deterministic; each batch pins its
@@ -103,8 +107,8 @@ class QueryServer {
   /// The server's ingress-artifact cache (budgeted per ServerOptions).
   harness::PartitionCache& partition_cache() { return cache_; }
 
-  /// Serving metrics: admitted/rejected/batches/batched_queries counters
-  /// and the serving.latency_us histogram. Merge with
+  /// Serving metrics: admitted/rejected/invalid/batches/batched_queries
+  /// counters and the serving.latency_us histogram. Merge with
   /// partition_cache().registry() for a full export.
   const obs::MetricsRegistry& registry() const { return registry_; }
 
@@ -115,6 +119,7 @@ class QueryServer {
   obs::MetricsRegistry registry_;
   obs::Counter* admitted_ = registry_.GetCounter("serving.admitted");
   obs::Counter* rejected_ = registry_.GetCounter("serving.rejected");
+  obs::Counter* invalid_ = registry_.GetCounter("serving.invalid");
   obs::Counter* batches_ = registry_.GetCounter("serving.batches");
   obs::Counter* batched_queries_ =
       registry_.GetCounter("serving.batched_queries");

@@ -44,17 +44,18 @@ struct Request {
 /// and unbatched paths agree.
 struct Response {
   bool rejected = false;   ///< dropped by admission control
+  bool invalid = false;    ///< bad graph index or vertex id; not served
   bool reachable = false;  ///< kBfsReachable
   bool in_core = false;    ///< kKCoreMember
   uint32_t distance = apps::kInfiniteDistance;        ///< kSsspDistance
   std::vector<graph::VertexId> top_vertices;          ///< kPageRankTopN
-  uint64_t latency_us = 0;  ///< completion - arrival; 0 when rejected
+  uint64_t latency_us = 0;  ///< completion - arrival; 0 when not served
 
   friend bool operator==(const Response&, const Response&) = default;
 };
 
-/// True when the two responses carry the same query answer (admission
-/// verdict included), ignoring the scheduling-dependent latency.
+/// True when the two responses carry the same query answer (admission and
+/// validation verdicts included), ignoring the scheduling-dependent latency.
 bool SameAnswer(const Response& a, const Response& b);
 
 /// Knobs of the deterministic-by-seed arrival-trace generator.

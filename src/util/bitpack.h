@@ -5,8 +5,7 @@
 
 namespace gdp::util {
 
-// Word-aligned bit packing shared by the compressed adjacency layout
-// (engine/plan.h) and the compressed edge-block store
+// Word-aligned bit packing behind the compressed edge-block store
 // (graph/edge_block_store.h). Values are packed back to back at a fixed
 // width; unaligned straddles are handled with two word loads/stores and a
 // shift-merge — no per-bit loop, no byte addressing.

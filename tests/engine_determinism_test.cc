@@ -15,6 +15,7 @@
 #include "engine/plan.h"
 #include "engine/reference_engine.h"
 #include "graph/generators.h"
+#include "partition/distributed_graph.h"
 #include "partition/ingest.h"
 #include "sim/cluster.h"
 
@@ -189,92 +190,6 @@ TEST_P(EngineDeterminismTest, PageRankNonDyadicWorkMultiplier) {
                                   apps::PageRankFixed(), options);
 }
 
-TEST_P(EngineDeterminismTest, LayoutAndKernelModeMatrix) {
-  // The full kernel matrix against one serial-reference run: both plan
-  // layouts under the batched kernels, plus the preserved per-edge
-  // baseline, at every thread count. Everything must agree bit-for-bit —
-  // states, RunStats, and per-machine cluster accounting.
-  const EngineKind kind = GetParam();
-  const bool graphx = kind == EngineKind::kGraphXPregel;
-  graph::EdgeList edges = PowerLawGraph();
-  RunOptions options;
-  options.max_iterations = 8;
-  apps::PageRankApp app = apps::PageRankFixed();
-
-  sim::Cluster ref_cluster(kMachines, sim::CostModel{});
-  IngestResult ref_ingest = Partition(edges, ref_cluster);
-  auto ref =
-      RunGasEngineReference(kind, ref_ingest.graph, ref_cluster, app, options);
-
-  struct Config {
-    PlanLayout layout;
-    KernelMode mode;
-  };
-  constexpr Config kConfigs[] = {
-      {PlanLayout::kUncompressed, KernelMode::kBatched},
-      {PlanLayout::kCompressed, KernelMode::kBatched},
-      // The per-edge baseline reads per-entry machine tags, which the
-      // compressed layout drops, so it only pairs with kUncompressed.
-      {PlanLayout::kUncompressed, KernelMode::kPerEdge},
-  };
-  for (const Config& config : kConfigs) {
-    sim::Cluster cluster(kMachines, sim::CostModel{});
-    IngestResult ingest = Partition(edges, cluster);
-    const sim::ClusterSnapshot ingested = cluster.Snapshot();
-    const ExecutionPlan plan = ExecutionPlan::Build(
-        ingest.graph, apps::PageRankApp::kGatherDir,
-        apps::PageRankApp::kScatterDir, graphx, config.layout);
-    for (uint32_t threads : kThreadCounts) {
-      SCOPED_TRACE(std::string(PlanLayoutName(config.layout)) + "/" +
-                   KernelModeName(config.mode) + " threads=" +
-                   std::to_string(threads));
-      cluster.Restore(ingested);
-      RunOptions run_options = options;
-      run_options.exec.num_threads = threads;
-      run_options.kernel_mode = config.mode;
-      auto got = RunGasEngine(kind, plan, cluster, app, run_options);
-      ASSERT_EQ(got.states, ref.states);
-      ExpectStatsIdentical(got.stats, ref.stats);
-      ExpectClustersIdentical(cluster, ref_cluster);
-    }
-  }
-}
-
-TEST_P(EngineDeterminismTest, SsspGridCompressedLayout) {
-  // Sparse-frontier coverage for the compressed decode path: grid SSSP
-  // spends most supersteps on list frontiers, where gather/scatter walk
-  // individual vertices' blocks rather than dense sweeps.
-  const EngineKind kind = GetParam();
-  const bool graphx = kind == EngineKind::kGraphXPregel;
-  graph::EdgeList edges = GridGraph();
-  apps::SsspApp app;
-  app.source = 1;
-  RunOptions options;
-  options.max_iterations = 5000;
-
-  sim::Cluster ref_cluster(kMachines, sim::CostModel{});
-  IngestResult ref_ingest = Partition(edges, ref_cluster);
-  auto ref =
-      RunGasEngineReference(kind, ref_ingest.graph, ref_cluster, app, options);
-
-  sim::Cluster cluster(kMachines, sim::CostModel{});
-  IngestResult ingest = Partition(edges, cluster);
-  const sim::ClusterSnapshot ingested = cluster.Snapshot();
-  const ExecutionPlan plan = ExecutionPlan::Build(
-      ingest.graph, apps::SsspApp::kGatherDir, apps::SsspApp::kScatterDir,
-      graphx, PlanLayout::kCompressed);
-  for (uint32_t threads : kThreadCounts) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    cluster.Restore(ingested);
-    RunOptions run_options = options;
-    run_options.exec.num_threads = threads;
-    auto got = RunGasEngine(kind, plan, cluster, app, run_options);
-    ASSERT_EQ(got.states, ref.states);
-    ExpectStatsIdentical(got.stats, ref.stats);
-    ExpectClustersIdentical(cluster, ref_cluster);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineDeterminismTest,
                          ::testing::Values(EngineKind::kPowerGraphSync,
                                            EngineKind::kPowerLyraHybrid,
@@ -379,71 +294,34 @@ TEST(ExecutionPlanTest, DegreeAccessorsMatchEdgeList) {
   EXPECT_EQ(fallback.in_degrees(), ingest.graph.in_degree);
 }
 
-TEST(ExecutionPlanTest, CompressedLayoutDecodesIdenticalAdjacency) {
-  graph::EdgeList edges = PowerLawGraph();
-  sim::Cluster cluster(kMachines, sim::CostModel{});
-  IngestResult ingest = Partition(edges, cluster);
-
-  const ExecutionPlan plain =
-      ExecutionPlan::Build(ingest.graph, EdgeDirection::kIn,
-                           EdgeDirection::kOut, /*graphx_counts=*/false);
-  const ExecutionPlan packed = ExecutionPlan::Build(
-      ingest.graph, EdgeDirection::kIn, EdgeDirection::kOut,
-      /*graphx_counts=*/false, PlanLayout::kCompressed);
-
-  // Same offsets, and the blocks decode to the exact entry sequence the
-  // uncompressed CSR stores (original edge order — the gather determinism
-  // contract), for every vertex on both sides.
-  ASSERT_EQ(packed.gather_offsets, plain.gather_offsets);
-  ASSERT_EQ(packed.scatter_offsets, plain.scatter_offsets);
-  for (graph::VertexId v = 0; v < edges.num_vertices(); ++v) {
-    internal::CompressedBlockCursor gather_cur(
-        packed.gather_blob, packed.gather_block_bits[v],
-        packed.gather_block_width[v], v);
-    for (uint64_t s = plain.gather_offsets[v]; s < plain.gather_offsets[v + 1];
-         ++s) {
-      ASSERT_EQ(gather_cur.Next(), plain.gather_nbr[s]) << "gather v=" << v;
-    }
-    internal::CompressedBlockCursor scatter_cur(
-        packed.scatter_blob, packed.scatter_block_bits[v],
-        packed.scatter_block_width[v], v);
-    for (uint64_t s = plain.scatter_offsets[v];
-         s < plain.scatter_offsets[v + 1]; ++s) {
-      ASSERT_EQ(scatter_cur.Next(), plain.scatter_target[s])
-          << "scatter v=" << v;
-    }
-  }
-
-  // Run tables are layout-independent; the per-entry arrays are dropped
-  // and the block representation is strictly smaller.
-  EXPECT_EQ(packed.gather_run_offsets, plain.gather_run_offsets);
-  EXPECT_EQ(packed.gather_runs, plain.gather_runs);
-  EXPECT_EQ(packed.scatter_run_offsets, plain.scatter_run_offsets);
-  EXPECT_EQ(packed.scatter_runs, plain.scatter_runs);
-  EXPECT_TRUE(packed.gather_nbr.empty());
-  EXPECT_TRUE(packed.gather_machine.empty());
-  EXPECT_TRUE(packed.scatter_target.empty());
-  EXPECT_TRUE(packed.scatter_machine.empty());
-  EXPECT_LT(packed.AdjacencyBytes(), plain.AdjacencyBytes());
-}
-
 TEST(ExecutionPlanTest, AccountingRunsMatchPerEntryMachineCounts) {
   graph::EdgeList edges = PowerLawGraph();
   sim::Cluster cluster(kMachines, sim::CostModel{});
   IngestResult ingest = Partition(edges, cluster);
+  const partition::DistributedGraph& dg = ingest.graph;
   const ExecutionPlan plan =
-      ExecutionPlan::Build(ingest.graph, EdgeDirection::kIn,
-                           EdgeDirection::kOut, /*graphx_counts=*/false);
+      ExecutionPlan::Build(dg, EdgeDirection::kBoth, EdgeDirection::kOut,
+                           /*graphx_counts=*/false);
 
-  auto check_side = [&](const std::vector<uint64_t>& offsets,
-                        const std::vector<uint8_t>& machine,
+  // The oracle never reads the plan: every edge charges its hosting machine
+  // once per adjacency entry it contributes — to both endpoints on the
+  // kBoth gather side, to its source on the kOut scatter side.
+  using Counts = std::vector<std::array<uint64_t, kMachines>>;
+  Counts gather(dg.num_vertices);
+  Counts scatter(dg.num_vertices);
+  for (size_t i = 0; i < dg.edges.size(); ++i) {
+    const graph::Edge& e = dg.edges[i];
+    const uint32_t m = dg.edge_partition[i] % dg.num_machines;
+    ++gather[e.dst][m];
+    ++gather[e.src][m];
+    ++scatter[e.src][m];
+  }
+
+  auto check_side = [&](const Counts& want,
+                        const std::vector<uint64_t>& offsets,
                         const std::vector<uint64_t>& run_offsets,
                         const std::vector<uint32_t>& runs) {
-    for (graph::VertexId v = 0; v < edges.num_vertices(); ++v) {
-      std::array<uint64_t, kMachines> counts{};
-      for (uint64_t s = offsets[v]; s < offsets[v + 1]; ++s) {
-        ++counts[machine[s]];
-      }
+    for (graph::VertexId v = 0; v < dg.num_vertices; ++v) {
       uint64_t total = 0;
       uint32_t prev_machine = 0;
       bool first = true;
@@ -456,16 +334,21 @@ TEST(ExecutionPlanTest, AccountingRunsMatchPerEntryMachineCounts) {
         prev_machine = m;
         ASSERT_GT(c, 0u) << "v=" << v;
         ASSERT_LT(m, kMachines) << "v=" << v;
-        ASSERT_EQ(c, counts[m]) << "v=" << v << " machine=" << int{m};
+        ASSERT_EQ(c, want[v][m]) << "v=" << v << " machine=" << int{m};
         total += c;
       }
+      // Together with the per-run equality, this leaves no oracle machine
+      // without its run.
+      uint64_t want_total = 0;
+      for (uint64_t c : want[v]) want_total += c;
+      ASSERT_EQ(total, want_total) << "v=" << v;
       ASSERT_EQ(total, offsets[v + 1] - offsets[v]) << "v=" << v;
     }
   };
-  check_side(plan.gather_offsets, plan.gather_machine,
-             plan.gather_run_offsets, plan.gather_runs);
-  check_side(plan.scatter_offsets, plan.scatter_machine,
-             plan.scatter_run_offsets, plan.scatter_runs);
+  check_side(gather, plan.gather_offsets, plan.gather_run_offsets,
+             plan.gather_runs);
+  check_side(scatter, plan.scatter_offsets, plan.scatter_run_offsets,
+             plan.scatter_runs);
 }
 
 }  // namespace

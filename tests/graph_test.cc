@@ -279,5 +279,34 @@ TEST_F(IoTest, MalformedLineIsInvalidArgument) {
   std::remove(path.c_str());
 }
 
+TEST_F(IoTest, RawIdPastThirtyTwoBitsIsInvalidArgument) {
+  std::string path = TempPath("gdp_io_wide_id.txt");
+  FILE* f = fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs("0 1\n4294967296 1\n", f);
+  fclose(f);
+  auto loaded = LoadEdgeList(path, /*renumber=*/false);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, RawIdAtVertexLimitIsInvalidArgument) {
+  // 2^32 - 1 fits a VertexId, but num_vertices (max id + 1) would wrap.
+  std::string path = TempPath("gdp_io_max_id.txt");
+  FILE* f = fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs("4294967295 0\n", f);
+  fclose(f);
+  auto loaded = LoadEdgeList(path, /*renumber=*/false);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("line 1"), std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace gdp::graph

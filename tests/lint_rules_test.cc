@@ -354,7 +354,7 @@ inline void Exercise(Acc& acc, const Tags& edge_machine, uint64_t s) {
   acc.AddWorkUnits(edge_machine[s], 4);
 }
 )"));
-  // The preserved per-edge baseline carries a NOLINT justification.
+  // A deliberate per-entry charge can still opt out with a NOLINT.
   fx.AddFile("src/engine/baseline.h", Header(R"(
 inline void Baseline(Acc& acc, const Plan& plan, uint64_t s) {
   acc.AddWorkUnits(plan.gather_machine[s], 4);  // NOLINT(no-per-edge-accounting)

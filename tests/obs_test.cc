@@ -414,44 +414,48 @@ partition::IngestResult PartitionFor(const graph::EdgeList& edges,
 TEST(ObsEngineDeterminismTest, SpanAndCounterFieldsIdenticalAcrossThreads) {
   const graph::EdgeList edges = TestGraph();
 
-  // Serial oracle first: the reference engine must emit the same observed
-  // stream as the parallel engine at every thread count.
-  std::vector<SimSpan> want_spans;
-  std::vector<MetricsRegistry::Sample> want_metrics;
-  {
-    MetricsRegistry metrics;
-    TraceRecorder trace;
-    sim::Cluster cluster(kMachines, sim::CostModel{});
-    partition::IngestResult ingest =
-        PartitionFor(edges, cluster, ExecContext{});
-    engine::RunOptions options;
-    options.max_iterations = 8;
-    options.exec.metrics = &metrics;
-    options.exec.trace = &trace;
-    engine::RunGasEngineReference(engine::EngineKind::kPowerGraphSync,
-                                  ingest.graph, cluster,
-                                  apps::PageRankFixed(), options);
-    want_spans = SimSpans(trace);
-    want_metrics = metrics.Snapshot();
-  }
-  ASSERT_FALSE(want_spans.empty());
+  for (engine::EngineKind kind : {engine::EngineKind::kPowerGraphSync,
+                                  engine::EngineKind::kPowerLyraHybrid,
+                                  engine::EngineKind::kGraphXPregel}) {
+    SCOPED_TRACE(engine::EngineKindName(kind));
+    // Serial oracle first: the reference engine must emit the same observed
+    // stream as the parallel engine at every thread count.
+    std::vector<SimSpan> want_spans;
+    std::vector<MetricsRegistry::Sample> want_metrics;
+    {
+      MetricsRegistry metrics;
+      TraceRecorder trace;
+      sim::Cluster cluster(kMachines, sim::CostModel{});
+      partition::IngestResult ingest =
+          PartitionFor(edges, cluster, ExecContext{});
+      engine::RunOptions options;
+      options.max_iterations = 8;
+      options.exec.metrics = &metrics;
+      options.exec.trace = &trace;
+      engine::RunGasEngineReference(kind, ingest.graph, cluster,
+                                    apps::PageRankFixed(), options);
+      want_spans = SimSpans(trace);
+      want_metrics = metrics.Snapshot();
+    }
+    ASSERT_FALSE(want_spans.empty());
 
-  for (uint32_t threads : kThreadCounts) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    MetricsRegistry metrics;
-    TraceRecorder trace;
-    sim::Cluster cluster(kMachines, sim::CostModel{});
-    partition::IngestResult ingest =
-        PartitionFor(edges, cluster, ExecContext{});
-    engine::RunOptions options;
-    options.max_iterations = 8;
-    options.exec.num_threads = threads;
-    options.exec.metrics = &metrics;
-    options.exec.trace = &trace;
-    engine::RunGasEngine(engine::EngineKind::kPowerGraphSync, ingest.graph,
-                         cluster, apps::PageRankFixed(), options);
-    EXPECT_EQ(SimSpans(trace), want_spans);
-    EXPECT_EQ(metrics.Snapshot(), want_metrics);
+    for (uint32_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      MetricsRegistry metrics;
+      TraceRecorder trace;
+      sim::Cluster cluster(kMachines, sim::CostModel{});
+      partition::IngestResult ingest =
+          PartitionFor(edges, cluster, ExecContext{});
+      engine::RunOptions options;
+      options.max_iterations = 8;
+      options.exec.num_threads = threads;
+      options.exec.metrics = &metrics;
+      options.exec.trace = &trace;
+      engine::RunGasEngine(kind, ingest.graph, cluster,
+                           apps::PageRankFixed(), options);
+      EXPECT_EQ(SimSpans(trace), want_spans);
+      EXPECT_EQ(metrics.Snapshot(), want_metrics);
+    }
   }
 }
 

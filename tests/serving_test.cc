@@ -5,6 +5,7 @@
 // queue and per-tenant quotas, and the PartitionCache/PlanCache byte
 // budgets must evict deterministically without ever changing results.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -172,6 +173,77 @@ TEST(ServingSchedulerTest, TenantQuotaCapsTheHotTenant) {
   EXPECT_TRUE(result.responses[3].rejected);
   EXPECT_TRUE(result.responses[4].rejected);
   EXPECT_FALSE(result.responses[5].rejected);
+}
+
+TEST(ServingSchedulerTest, InvalidRequestsAreAnsweredNotServed) {
+  const graph::EdgeList a = SmallGraph(0x5a);
+  const graph::EdgeList b = SmallGraph(0x5b);
+  const std::vector<serving::Request> clean = TestTrace(a, b, 48);
+
+  // The same trace with three malformed requests spliced in: an unknown
+  // graph, a k-core member outside its graph, and an SSSP target outside
+  // its graph. Each copies its predecessor's arrival time, so the valid
+  // requests keep their windows.
+  std::vector<serving::Request> mixed;
+  std::vector<size_t> clean_index;  // mixed position -> clean position
+  for (size_t i = 0; i < clean.size(); ++i) {
+    mixed.push_back(clean[i]);
+    clean_index.push_back(i);
+    if (i != 5 && i != 17 && i != 30) continue;
+    serving::Request bad = clean[i];
+    if (i == 5) {
+      bad.graph = 2;
+    } else if (i == 17) {
+      bad.graph = 0;
+      bad.kind = serving::QueryKind::kKCoreMember;
+      bad.source = static_cast<graph::VertexId>(a.num_vertices());
+    } else {
+      bad.graph = 1;
+      bad.kind = serving::QueryKind::kSsspDistance;
+      bad.source = 0;
+      bad.target = static_cast<graph::VertexId>(b.num_vertices());
+    }
+    mixed.push_back(bad);
+    clean_index.push_back(SIZE_MAX);
+  }
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    mixed[i].id = static_cast<uint32_t>(i);
+  }
+
+  // A queue short enough to reject some valid requests: had the invalid
+  // ones taken slots, the admitted set would shift.
+  serving::ServerOptions options;
+  options.queue_capacity = 20;
+  serving::QueryServer clean_server(Fleet(a, b), options);
+  serving::QueryServer mixed_server(Fleet(a, b), options);
+  const serving::ServeResult want = clean_server.Serve(clean);
+  const serving::ServeResult got = mixed_server.Serve(mixed);
+  ASSERT_GT(want.rejected, 0u);
+
+  EXPECT_EQ(got.invalid, 3u);
+  EXPECT_EQ(got.admitted + got.rejected + got.invalid, mixed.size());
+  EXPECT_EQ(got.admitted, want.admitted);
+  EXPECT_EQ(got.batches, want.batches);
+  int64_t invalid_counter = -1;
+  for (const obs::MetricsRegistry::Sample& sample :
+       mixed_server.registry().Snapshot()) {
+    if (sample.name == "serving.invalid") invalid_counter = sample.value;
+  }
+  EXPECT_EQ(invalid_counter, 3);
+
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    const serving::Response& response = got.responses[i];
+    if (clean_index[i] == SIZE_MAX) {
+      EXPECT_TRUE(response.invalid) << i;
+      EXPECT_FALSE(response.rejected) << i;
+      continue;
+    }
+    const serving::Response& expected = want.responses[clean_index[i]];
+    EXPECT_FALSE(response.invalid) << i;
+    EXPECT_TRUE(SameAnswer(response, expected)) << i;
+    // No queue slot or batch seat was taken, so latencies match too.
+    EXPECT_EQ(response.latency_us, expected.latency_us) << i;
+  }
 }
 
 TEST(ServingSchedulerTest, LatencyHistogramExportsPercentiles) {

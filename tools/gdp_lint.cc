@@ -68,8 +68,7 @@
 //                  per-vertex (machine, count) run tables charge the same
 //                  integer quarter-units with one call per distinct
 //                  machine, bit-identically (integer sums are order-free).
-//                  The preserved KernelMode::kPerEdge baseline kernels
-//                  carry NOLINT justifications.
+//                  No per-edge kernel or sanctioned NOLINT remains.
 //
 // Comment and string contents — including raw string literals R"(...)" —
 // are stripped before matching, so prose and literals never trigger
@@ -454,9 +453,9 @@ void CheckMutexAnnotated(const FileText& f, std::vector<Finding>& findings) {
 
 /// no-per-edge-accounting: an AddWorkUnits call whose machine argument
 /// indexes a per-entry machine array is a per-adjacency-entry charge — the
-/// shape the batched run-table kernels replaced. Advisory: integer charges
-/// are order-free, so batching per vertex is bit-identical; deliberate
-/// per-edge baselines (KernelMode::kPerEdge) carry NOLINT.
+/// shape the batched run-table kernels replaced. Integer charges are
+/// order-free, so batching per vertex is bit-identical; no per-edge kernel
+/// remains, so no NOLINT for this rule is sanctioned in the tree.
 void CheckPerEdgeAccounting(const FileText& f,
                             std::vector<Finding>& findings) {
   if (!InDir(f, "src/engine")) return;
@@ -469,8 +468,7 @@ void CheckPerEdgeAccounting(const FileText& f,
           {f.rel, i + 1, "no-per-edge-accounting",
            "AddWorkUnits charged per adjacency entry (per-entry machine "
            "index); batch through the plan's (machine, count) run tables — "
-           "integer charges are order-free, so batching is bit-identical — "
-           "or NOLINT a deliberate per-edge baseline"});
+           "integer charges are order-free, so batching is bit-identical"});
     }
   }
 }

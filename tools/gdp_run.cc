@@ -85,23 +85,25 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  engine::EngineKind kind;
+  if (!ParseEngine(argv[3], &kind)) {
+    std::fprintf(stderr, "error: unknown engine %s\n", argv[3]);
+    return 1;
+  }
+  // The engines keep per-vertex machine sets in 64-bit masks.
+  const long machines_arg = std::atol(argv[5]);
+  if (machines_arg < 1 || machines_arg > 64) {
+    std::fprintf(stderr, "error: machines must be in [1, 64]\n");
+    return 1;
+  }
+  const uint32_t machines = static_cast<uint32_t>(machines_arg);
+
   auto loaded = graph::LoadEdgeList(argv[1]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
     return 1;
   }
   graph::EdgeList edges = std::move(loaded).value();
-
-  engine::EngineKind kind;
-  if (!ParseEngine(argv[3], &kind)) {
-    std::fprintf(stderr, "error: unknown engine %s\n", argv[3]);
-    return 1;
-  }
-  uint32_t machines = static_cast<uint32_t>(std::atoi(argv[5]));
-  if (machines == 0) {
-    std::fprintf(stderr, "error: machines must be > 0\n");
-    return 1;
-  }
 
   std::string target = argv[4];
   if (!target.empty() && target[0] == '@') {
