@@ -73,11 +73,11 @@ AsyncColoringResult RunAsyncColoring(const partition::DistributedGraph& dg,
         if (seen == color[v] && u < v) conflict = true;
         if (remote) {
           // Pulling a remote neighbor's cached mirror value.
-          cluster.machine(home).AddWork(0.25);
+          cluster.machine(home).AddTicks(sim::kSerializeTicks);
         }
       }
-      cluster.machine(home).AddWork(
-          1.0 + static_cast<double>(offsets[v + 1] - offsets[v]));
+      cluster.machine(home).AddTicks(sim::kTicksPerWorkUnit *
+                                     (1 + offsets[v + 1] - offsets[v]));
       if (!conflict) continue;
       std::sort(used.begin(), used.end());
       uint32_t candidate = 0;

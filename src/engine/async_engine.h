@@ -45,7 +45,6 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
   GDP_CHECK_LE(dg.num_machines, 64u);
   const graph::VertexId n = dg.num_vertices;
   const sim::ObjectSizes sizes;
-  const double work_mul = options.work_multiplier;
 
   // Observability sinks; the observer owns the old per-round timeline
   // sample. One span per async round (the engine has no minor-step
@@ -167,9 +166,11 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
         const State& seen = remote ? committed[u] : state[u];
         app.GatherEdge(v, u, seen, ctx, &acc);
         has_gather = true;
-        cluster.machine(home).AddWork(work_mul);
-        if (remote) cluster.machine(home).AddWork(0.25 * work_mul);
-        if (observed) breakdown.gather_units += remote ? 5 : 4;
+        // A remote read also pays one mirror-cache serialization.
+        const uint64_t ticks =
+            sim::kTicksPerWorkUnit + (remote ? sim::kSerializeTicks : 0);
+        cluster.machine(home).AddTicks(ticks);
+        if (observed) breakdown.gather_ticks += ticks;
       };
       if (IncludesIn(App::kGatherDir)) {
         for (uint64_t i = in_offsets[v]; i < in_offsets[v + 1]; ++i) {
@@ -181,8 +182,8 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
           gather_from(out_adjacency[i]);
         }
       }
-      cluster.machine(home).AddWork(work_mul);  // apply
-      if (observed) breakdown.apply_units += 4;
+      cluster.machine(home).AddTicks(sim::kTicksPerWorkUnit);  // apply
+      if (observed) breakdown.apply_ticks += sim::kTicksPerWorkUnit;
       bool signal = app.Apply(v, acc, has_gather, ctx, &state[v]);
       if (!signal) continue;
       if (observed) ++breakdown.signaled;
@@ -209,8 +210,8 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
         } else {
           next_active[w] = true;
         }
-        cluster.machine(home).AddWork(work_mul);
-        if (observed) breakdown.scatter_units += 4;
+        cluster.machine(home).AddTicks(sim::kTicksPerWorkUnit);
+        if (observed) breakdown.scatter_ticks += sim::kTicksPerWorkUnit;
       };
       if (IncludesOut(App::kScatterDir)) {
         for (uint64_t i = out_offsets[v]; i < out_offsets[v + 1]; ++i) {
@@ -225,7 +226,7 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
     }
 
     committed = state;
-    cluster.EndPhaseAsync();
+    cluster.EndPhaseAsync(options.work_multiplier);
     stats.cumulative_seconds.push_back(cluster.now_seconds() - start);
     observer.EndSuperstep(breakdown);
     std::fill(active.begin(), active.end(), false);

@@ -14,28 +14,29 @@ namespace gdp::engine {
 
 /// Per-superstep observability totals an engine hands to
 /// SuperstepObserver::EndSuperstep. All fields are integer sums of the
-/// engine's own quarter-unit/byte accounting, so they are bit-identical
-/// across thread counts — they become the span's deterministic args.
+/// engine's own tick/byte accounting, so they are bit-identical across
+/// thread counts — they become the span's deterministic args.
 struct SuperstepBreakdown {
   /// Active vertices at the start of the superstep.
   uint64_t frontier = 0;
   /// Vertices whose apply signaled (scatter sources).
   uint64_t signaled = 0;
-  /// Gather minor-step compute, in quarter-units.
-  uint64_t gather_units = 0;
+  /// Gather minor-step compute, in ticks (sim::kWorkPerTick units each).
+  uint64_t gather_ticks = 0;
   /// Bytes sent during the gather minor-step.
   uint64_t gather_bytes = 0;
-  /// Apply minor-step compute (incl. message serialization), quarter-units.
-  uint64_t apply_units = 0;
+  /// Apply minor-step compute (incl. message serialization and GraphX
+  /// shuffle blocks), in ticks.
+  uint64_t apply_ticks = 0;
   /// Bytes sent during the apply minor-step (gather + sync messages).
   uint64_t apply_bytes = 0;
-  /// Scatter minor-step compute, in quarter-units.
-  uint64_t scatter_units = 0;
+  /// Scatter minor-step compute, in ticks.
+  uint64_t scatter_ticks = 0;
   /// Bytes sent during the scatter minor-step (0 for the sync engines —
   /// activations piggyback on sync messages).
   uint64_t scatter_bytes = 0;
-  /// GraphX only: shuffle blocks serialized during apply (charged at
-  /// 0.8 x work_multiplier each, outside the quarter-unit system).
+  /// GraphX only: shuffle blocks serialized during apply (a count; their
+  /// sim::kShuffleBlockTicks each are part of apply_ticks).
   uint64_t graphx_blocks = 0;
 };
 
@@ -97,14 +98,14 @@ class SuperstepObserver {
       obs::TraceRecorder& trace = *exec_.trace;
       trace.Arg(span_id_, "frontier", static_cast<int64_t>(b.frontier));
       trace.Arg(span_id_, "signaled", static_cast<int64_t>(b.signaled));
-      trace.Arg(span_id_, "gather_units",
-                static_cast<int64_t>(b.gather_units));
+      trace.Arg(span_id_, "gather_ticks",
+                static_cast<int64_t>(b.gather_ticks));
       trace.Arg(span_id_, "gather_bytes",
                 static_cast<int64_t>(b.gather_bytes));
-      trace.Arg(span_id_, "apply_units", static_cast<int64_t>(b.apply_units));
+      trace.Arg(span_id_, "apply_ticks", static_cast<int64_t>(b.apply_ticks));
       trace.Arg(span_id_, "apply_bytes", static_cast<int64_t>(b.apply_bytes));
-      trace.Arg(span_id_, "scatter_units",
-                static_cast<int64_t>(b.scatter_units));
+      trace.Arg(span_id_, "scatter_ticks",
+                static_cast<int64_t>(b.scatter_ticks));
       trace.Arg(span_id_, "scatter_bytes",
                 static_cast<int64_t>(b.scatter_bytes));
       if (b.graphx_blocks != 0) {

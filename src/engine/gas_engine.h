@@ -69,10 +69,10 @@ struct GasRunResult {
 /// This is the parallel, frontier-aware engine. Real computation runs on
 /// `options.exec.num_threads` lanes (0 = hardware default) and gather/scatter
 /// traverse precomputed adjacency restricted to the active frontier, so a
-/// sparse superstep costs O(frontier edges) instead of O(|E|). Simulated
-/// distribution costs charged to `cluster` are *bit-identical* to the
-/// original serial engine (reference_engine.h) at every thread count — see
-/// sim::PhaseAccumulator for the mechanism. Requires
+/// sparse superstep costs O(frontier edges) instead of O(|E|) on all three
+/// engine kinds. Simulated distribution costs charged to `cluster` are
+/// *bit-identical* to the serial oracle (reference_engine.h) at every
+/// thread count — see sim::PhaseAccumulator for the mechanism. Requires
 /// cluster.num_machines() == dg.num_machines and at most 64 machines
 /// (partitions may exceed 64).
 template <GasApplication App>
@@ -110,7 +110,6 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   // engines' message accounting silently miscounts on a corrupt structure.
   GDP_DCHECK_OK(partition::ValidateDistributedGraph(dg));
   const graph::VertexId n = dg.num_vertices;
-  const uint64_t num_edges = dg.edges.size();
   const sim::ObjectSizes sizes;
   const double work_mul = options.work_multiplier;
 
@@ -123,22 +122,6 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     GDP_CHECK_EQ(plan.gather_partition_count.size(), n);
   }
 
-  // --- Accounting mode -----------------------------------------------------
-  // Every work charge in the serial engine is an integer multiple of one
-  // quarter of the work multiplier, so lanes count integer quarter-units
-  // (sim::PhaseAccumulator) instead of summing doubles. When the unit is
-  // dyadic enough that sums up to max_units are exact in any order (the
-  // default multiplier 1.0, any power of two), a closed-form flush is
-  // bit-identical to the serial engine. Otherwise — exotic multipliers, or
-  // GraphX whose apply charges 0.8 * blocks (not a quarter-unit multiple) —
-  // computation still runs parallel but cost accounting is replayed
-  // serially in the serial engine's exact order.
-  const double unit_value = 0.25 * work_mul;
-  const uint64_t max_units = 8 * (2 * num_edges + 130ULL * n + 64);
-  const bool fast_accounting =
-      kind != EngineKind::kGraphXPregel &&
-      sim::PhaseAccumulator::ClosedFormExact(unit_value, max_units);
-
   // Resolved execution context: thread count + observability sinks. The
   // observer owns the per-superstep timeline sample and span; when no sink
   // is attached (`!observed`) every instrumentation site below is skipped.
@@ -150,22 +133,21 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
                                    ? exec.num_threads
                                    : util::ThreadPool::DefaultThreadCount();
   util::ThreadPool pool(num_threads);
+  // Every charge is an integer tick count on a lane's accumulator; the
+  // lanes merge and flush once per minor-step, and EndPhase converts each
+  // machine's ticks to seconds with the run's work multiplier. GraphX's
+  // shuffle blocks (16 ticks each) are counted per lane for the span args.
   std::vector<sim::PhaseAccumulator> accs(pool.num_threads());
   for (sim::PhaseAccumulator& acc : accs) acc.Reset(dg.num_machines);
+  std::vector<uint64_t> lane_blocks(pool.num_threads(), 0);
   // Flushes the lanes' counts to the cluster; returns this minor-step's
-  // {quarter-units, sent bytes} totals when observed (integer sums over
-  // machines — identical at every lane count).
+  // {ticks, sent bytes} totals when observed (integer sums over machines —
+  // identical at every lane count).
   auto flush_accs = [&]() -> std::pair<uint64_t, uint64_t> {
     for (size_t i = 1; i < accs.size(); ++i) accs[0].Merge(accs[i]);
     std::pair<uint64_t, uint64_t> totals{0, 0};
-    if (observed) {
-      totals = {accs[0].TotalWorkUnits(), accs[0].TotalSentBytes()};
-    }
-    if (fast_accounting) {
-      accs[0].FlushTo(cluster, unit_value);
-    } else {
-      accs[0].FlushToReplay(cluster, unit_value);
-    }
+    if (observed) totals = {accs[0].TotalTicks(), accs[0].TotalSentBytes()};
+    accs[0].FlushTo(cluster);
     for (sim::PhaseAccumulator& acc : accs) acc.Reset(dg.num_machines);
     return totals;
   };
@@ -261,8 +243,9 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     for (uint64_t r = plan.scatter_run_offsets[v];
          r < plan.scatter_run_offsets[v + 1]; ++r) {
       const uint32_t run = plan.scatter_runs[r];
-      accs[lane].AddWorkUnits(ExecutionPlan::RunMachine(run),
-                              4ULL * ExecutionPlan::RunCount(run));
+      accs[lane].AddTicks(
+          ExecutionPlan::RunMachine(run),
+          sim::kTicksPerWorkUnit * ExecutionPlan::RunCount(run));
     }
   };
 
@@ -303,49 +286,21 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     }
   };
 
-  // Exact-accounting scatter: the serial engine's full edge scan, verbatim,
-  // so per-machine charge sequences (including the single combined
-  // 2x-work-multiplier charge when both endpoints scatter) replay exactly.
-  // Returns the scatter compute total in quarter-units (for the span args).
-  auto scatter_serial = [&](const util::DenseBitset& from,
-                            util::DenseBitset& into) -> uint64_t {
-    uint64_t units = 0;
-    for (uint64_t i = 0; i < num_edges; ++i) {
-      const graph::Edge& e = dg.edges[i];
-      bool src_scatters = IncludesOut(App::kScatterDir) && from.Test(e.src);
-      bool dst_scatters = IncludesIn(App::kScatterDir) && from.Test(e.dst);
-      if (!src_scatters && !dst_scatters) continue;
-      const int events = (src_scatters ? 1 : 0) + (dst_scatters ? 1 : 0);
-      cluster.machine(plan.edge_machine[i]).AddWork(work_mul * events);
-      units += 4ULL * static_cast<uint64_t>(events);
-      if (src_scatters) into.Set(e.dst);
-      if (dst_scatters) into.Set(e.src);
-    }
-    return units;
-  };
-
   // Optional bootstrap: initially active vertices announce themselves;
   // with no apply/sync step yet, these activations do cross the wire.
   if (App::kBootstrapScatter) {
     obs::ScopedSpan bootstrap_span(exec.trace, exec.trace_track, "bootstrap",
                                    "engine", cluster.now_seconds());
     const uint64_t init_count = active.CountSet();
-    uint64_t serial_units = 0;
-    if (fast_accounting) {
-      scatter_frontier(active, init_count, next_active);
-    } else {
-      serial_units = scatter_serial(active, next_active);
-    }
+    scatter_frontier(active, init_count, next_active);
     for_each_frontier(active, init_count, charge_activation);
-    const auto [flushed_units, flushed_bytes] = flush_accs();
-    cluster.EndPhase();
+    const auto [scatter_ticks, scatter_bytes] = flush_accs();
+    cluster.EndPhase(work_mul);
     std::swap(active, next_active);
     next_active.ClearAll();
     bootstrap_span.Arg("frontier", static_cast<int64_t>(init_count));
-    bootstrap_span.Arg("scatter_units",
-                       static_cast<int64_t>(serial_units + flushed_units));
-    bootstrap_span.Arg("scatter_bytes",
-                       static_cast<int64_t>(flushed_bytes));
+    bootstrap_span.Arg("scatter_ticks", static_cast<int64_t>(scatter_ticks));
+    bootstrap_span.Arg("scatter_bytes", static_cast<int64_t>(scatter_bytes));
     bootstrap_span.End(cluster.now_seconds());
   }
 
@@ -426,178 +381,100 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
           for (uint64_t r = plan.gather_run_offsets[v];
                r < plan.gather_run_offsets[v + 1]; ++r) {
             const uint32_t run = plan.gather_runs[r];
-            accs[lane].AddWorkUnits(ExecutionPlan::RunMachine(run),
-                                    4ULL * ExecutionPlan::RunCount(run));
+            accs[lane].AddTicks(
+                ExecutionPlan::RunMachine(run),
+                sim::kTicksPerWorkUnit * ExecutionPlan::RunCount(run));
           }
           acc[v] = std::move(folded);
           has_gather[v] = begin != end;
         });
-    std::tie(breakdown.gather_units, breakdown.gather_bytes) = flush_accs();
+    std::tie(breakdown.gather_ticks, breakdown.gather_bytes) = flush_accs();
 
     // ---- Apply minor-step + message accounting ----------------------------
     signaled.ClearAll();
-    if (fast_accounting) {
-      for_each_frontier(
-          active, active_count, [&](graph::VertexId v, uint32_t lane) {
-            sim::PhaseAccumulator& a = accs[lane];
-            const sim::MachineId master = masks.master_machine[v];
-            a.AddWorkUnits(master, 4);
-            const bool signal =
-                app.Apply(v, acc[v], has_gather[v] != 0, ctx, &state[v]);
-            if (signal) signaled.SetAtomic(v);
+    for_each_frontier(
+        active, active_count, [&](graph::VertexId v, uint32_t lane) {
+          sim::PhaseAccumulator& a = accs[lane];
+          const sim::MachineId master = masks.master_machine[v];
+          a.AddTicks(master, sim::kTicksPerWorkUnit);
+          const bool signal =
+              app.Apply(v, acc[v], has_gather[v] != 0, ctx, &state[v]);
+          if (signal) signaled.SetAtomic(v);
 
-            const uint64_t master_bit = 1ULL << master;
+          const uint64_t master_bit = 1ULL << master;
 
-            // Gather messages: mirrors -> master, a round trip each (the
-            // master activates the mirror, the mirror returns its partial
-            // aggregate and pays serialization work).
-            uint64_t gm =
-                kind == EngineKind::kPowerGraphSync
-                    ? masks.replicas[v] & ~master_bit
-                    : internal::DirectionMask(masks, App::kGatherDir, v) &
-                          ~master_bit;
-            while (gm != 0) {
-              sim::MachineId src =
-                  static_cast<sim::MachineId>(std::countr_zero(gm));
-              gm &= gm - 1;
-              a.ChargeSendBytes(master, sizes.control_message);
-              a.ChargeReceiveBytes(src, sizes.control_message);
-              a.ChargeSendBytes(src, sizes.gather_message);
-              a.ChargeReceiveBytes(master, sizes.gather_message);
-              a.AddWorkUnits(src, 1);
-            }
-
-            // State synchronization: master -> mirrors (only when state
-            // changed; always for always-signaling apps like PageRank).
-            if (signal) {
-              const bool low_degree = (in_degree[v] + out_degree[v]) <=
-                                      options.high_degree_threshold;
-              uint64_t sm =
-                  kind == EngineKind::kPowerGraphSync
-                      ? masks.replicas[v] & ~master_bit
-                      : (low_degree ? internal::DirectionMask(
-                                          masks, App::kScatterDir, v) &
-                                          ~master_bit
-                                    : masks.replicas[v] & ~master_bit);
-              while (sm != 0) {
-                sim::MachineId dst =
-                    static_cast<sim::MachineId>(std::countr_zero(sm));
-                sm &= sm - 1;
-                a.ChargeSendBytes(master, sizes.sync_message);
-                a.ChargeReceiveBytes(dst, sizes.sync_message);
-                a.AddWorkUnits(master, 1);
-              }
-            }
-          });
-      std::tie(breakdown.apply_units, breakdown.apply_bytes) = flush_accs();
-    } else {
-      // Parallel computation (per-vertex state updates are independent and
-      // order-free), then a serial replay of the serial engine's apply
-      // accounting in ascending vertex order — required because GraphX's
-      // shuffle-block charge and exotic multipliers are order-sensitive.
-      for_each_frontier(active, active_count,
-                        [&](graph::VertexId v, uint32_t) {
-                          if (app.Apply(v, acc[v], has_gather[v] != 0, ctx,
-                                        &state[v])) {
-                            signaled.SetAtomic(v);
-                          }
-                        });
-      for (graph::VertexId v = 0; v < n; ++v) {
-        if (!active.Test(v)) continue;
-        const sim::MachineId master = masks.master_machine[v];
-        cluster.machine(master).AddWork(work_mul);
-        const bool signal = signaled.Test(v);
-        if (observed) breakdown.apply_units += 4;
-
-        const uint64_t master_bit = 1ULL << master;
-        const bool low_degree = (in_degree[v] + out_degree[v]) <=
-                                options.high_degree_threshold;
-
-        if (kind == EngineKind::kGraphXPregel) {
-          // Shuffle-block serialization per edge-partition touched (see
-          // the ExecutionPlan fan-out comment).
-          double blocks =
-              static_cast<double>(plan.gather_partition_count[v]) +
-              (signal ? static_cast<double>(plan.scatter_partition_count[v])
-                      : 0);
-          cluster.machine(master).AddWork(0.8 * work_mul * blocks);
-          if (observed) {
-            breakdown.graphx_blocks +=
+          if (kind == EngineKind::kGraphXPregel) {
+            // Shuffle-block serialization per edge-partition touched (see
+            // the ExecutionPlan fan-out comment).
+            const uint64_t blocks =
                 plan.gather_partition_count[v] +
-                (signal ? plan.scatter_partition_count[v] : 0);
+                (signal ? plan.scatter_partition_count[v] : 0u);
+            a.AddTicks(master, sim::kShuffleBlockTicks * blocks);
+            if (observed) lane_blocks[lane] += blocks;
           }
-        }
 
-        uint64_t gm =
-            kind == EngineKind::kPowerGraphSync
-                ? masks.replicas[v] & ~master_bit
-                : internal::DirectionMask(masks, App::kGatherDir, v) &
-                      ~master_bit;
-        while (gm != 0) {
-          sim::MachineId src =
-              static_cast<sim::MachineId>(std::countr_zero(gm));
-          gm &= gm - 1;
-          cluster.machine(master).ChargePhaseBytes(sizes.control_message);
-          cluster.machine(src).ReceiveBytes(sizes.control_message);
-          cluster.machine(src).ChargePhaseBytes(sizes.gather_message);
-          cluster.machine(master).ReceiveBytes(sizes.gather_message);
-          cluster.machine(src).AddWork(0.25 * work_mul);  // serialize
-          if (observed) {
-            breakdown.apply_units += 1;
-            breakdown.apply_bytes +=
-                sizes.control_message + sizes.gather_message;
+          // Gather messages: mirrors -> master, a round trip each (the
+          // master activates the mirror, the mirror returns its partial
+          // aggregate and pays serialization work).
+          uint64_t gm =
+              kind == EngineKind::kPowerGraphSync
+                  ? masks.replicas[v] & ~master_bit
+                  : internal::DirectionMask(masks, App::kGatherDir, v) &
+                        ~master_bit;
+          while (gm != 0) {
+            sim::MachineId src =
+                static_cast<sim::MachineId>(std::countr_zero(gm));
+            gm &= gm - 1;
+            a.ChargeSendBytes(master, sizes.control_message);
+            a.ChargeReceiveBytes(src, sizes.control_message);
+            a.ChargeSendBytes(src, sizes.gather_message);
+            a.ChargeReceiveBytes(master, sizes.gather_message);
+            a.AddTicks(src, sim::kSerializeTicks);
           }
-        }
 
-        if (signal) {
-          uint64_t sm = 0;
-          switch (kind) {
-            case EngineKind::kPowerGraphSync:
-              sm = masks.replicas[v] & ~master_bit;
-              break;
-            case EngineKind::kPowerLyraHybrid:
-              sm = low_degree
-                       ? internal::DirectionMask(masks, App::kScatterDir,
-                                                 v) &
-                             ~master_bit
-                       : masks.replicas[v] & ~master_bit;
-              break;
-            case EngineKind::kGraphXPregel:
-              sm = internal::DirectionMask(masks, App::kScatterDir, v) &
-                   ~master_bit;
-              break;
-          }
-          while (sm != 0) {
-            sim::MachineId dst =
-                static_cast<sim::MachineId>(std::countr_zero(sm));
-            sm &= sm - 1;
-            cluster.machine(master).ChargePhaseBytes(sizes.sync_message);
-            cluster.machine(dst).ReceiveBytes(sizes.sync_message);
-            cluster.machine(master).AddWork(0.25 * work_mul);
-            if (observed) {
-              breakdown.apply_units += 1;
-              breakdown.apply_bytes += sizes.sync_message;
+          // State synchronization: master -> mirrors (only when state
+          // changed; always for always-signaling apps like PageRank).
+          // PowerGraph syncs every mirror; GraphX ships to the machines
+          // holding scatter-direction edges, and PowerLyra does too for
+          // low-degree vertices.
+          if (signal) {
+            const bool low_degree = (in_degree[v] + out_degree[v]) <=
+                                    options.high_degree_threshold;
+            const bool all_mirrors =
+                kind == EngineKind::kPowerGraphSync ||
+                (kind == EngineKind::kPowerLyraHybrid && !low_degree);
+            uint64_t sm =
+                (all_mirrors
+                     ? masks.replicas[v]
+                     : internal::DirectionMask(masks, App::kScatterDir, v)) &
+                ~master_bit;
+            while (sm != 0) {
+              sim::MachineId dst =
+                  static_cast<sim::MachineId>(std::countr_zero(sm));
+              sm &= sm - 1;
+              a.ChargeSendBytes(master, sizes.sync_message);
+              a.ChargeReceiveBytes(dst, sizes.sync_message);
+              a.AddTicks(master, sim::kSerializeTicks);
             }
           }
-        }
-      }
+        });
+    std::tie(breakdown.apply_ticks, breakdown.apply_bytes) = flush_accs();
+    for (uint64_t& blocks : lane_blocks) {
+      breakdown.graphx_blocks += blocks;
+      blocks = 0;
     }
     const uint64_t signaled_count = signaled.CountSet();
 
     // ---- Scatter minor-step ----------------------------------------------
     next_active.ClearAll();
     if (signaled_count > 0) {
-      if (fast_accounting) {
-        scatter_frontier(signaled, signaled_count, next_active);
-        std::tie(breakdown.scatter_units, breakdown.scatter_bytes) =
-            flush_accs();
-      } else {
-        breakdown.scatter_units = scatter_serial(signaled, next_active);
-      }
+      scatter_frontier(signaled, signaled_count, next_active);
+      std::tie(breakdown.scatter_ticks, breakdown.scatter_bytes) =
+          flush_accs();
     }
 
     // Three minor-step barriers per superstep (§5.1.2).
-    cluster.EndPhase();
+    cluster.EndPhase(work_mul);
     cluster.AdvanceSeconds(2 * cluster.cost_model().barrier_latency_seconds);
     stats.cumulative_seconds.push_back(cluster.now_seconds() -
                                        compute_start);

@@ -39,8 +39,9 @@ namespace {
 
 /// Folds a CSR's per-entry machine tags into per-vertex (machine, count)
 /// runs, ascending by machine. Counts are whole adjacency events (the
-/// engine charges 4 quarter-units per event), and integer accounting is
-/// order-free, so this regrouping cannot change any flushed cost.
+/// engine charges sim::kTicksPerWorkUnit ticks per event), and integer
+/// accounting is order-free, so this regrouping cannot change any flushed
+/// cost.
 void BuildAccountingRuns(const std::vector<uint64_t>& offsets,
                          const std::vector<uint8_t>& machines,
                          uint32_t num_machines,
@@ -103,12 +104,6 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
 
   plan.masks = internal::MachineMasks::Build(dg);
 
-  plan.edge_machine.resize(num_edges);
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    plan.edge_machine[i] =
-        static_cast<uint8_t>(dg.edge_partition[i] % dg.num_machines);
-  }
-
   const bool gather_in = IncludesIn(gather_dir);
   const bool gather_out = IncludesOut(gather_dir);
   const bool scatter_in = IncludesIn(scatter_dir);
@@ -148,7 +143,8 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
   std::vector<uint64_t> scatter_fill(n, 0);
   for (uint64_t i = 0; i < num_edges; ++i) {
     const graph::Edge& e = dg.edges[i];
-    const uint8_t m = plan.edge_machine[i];
+    const auto m =
+        static_cast<uint8_t>(dg.edge_partition[i] % dg.num_machines);
     if (gather_in) {
       const uint64_t slot = plan.gather_offsets[e.dst] + gather_fill[e.dst]++;
       plan.gather_nbr[slot] = e.src;

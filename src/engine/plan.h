@@ -69,9 +69,6 @@ struct ExecutionPlan {
 
   internal::MachineMasks masks;
 
-  /// Machine hosting edge i (dg->edge_partition[i] % num_machines).
-  std::vector<uint8_t> edge_machine;
-
   /// Gather adjacency offsets: center v owns entries [gather_offsets[v],
   /// gather_offsets[v+1]) of gather_nbr.
   std::vector<uint64_t> gather_offsets;
@@ -86,9 +83,9 @@ struct ExecutionPlan {
   // --- Batch-accounting run tables -----------------------------------------
   // For center v, entries [gather_run_offsets[v], gather_run_offsets[v+1])
   // of gather_runs are packed (machine, count) pairs in ascending machine
-  // order: v's adjacency charges `count` whole work units to `machine`.
-  // Work charges are integer quarter-units (sim::PhaseAccumulator), and
-  // integer sums are order-free, so folding a vertex's per-edge charges
+  // order: v's adjacency charges `count` whole work units
+  // (sim::kTicksPerWorkUnit ticks each) to `machine`. Ticks are integers
+  // and integer sums are order-free, so folding a vertex's per-edge charges
   // into per-machine counts is bit-identical to charging them one edge at
   // a time. At most num_machines runs per vertex.
   std::vector<uint64_t> gather_run_offsets;
@@ -115,8 +112,7 @@ struct ExecutionPlan {
 
   /// Bytes held by the per-entry neighbor arrays (gather_nbr,
   /// scatter_target): what PlanCache's byte budget charges per plan.
-  /// edge_machine and the per-vertex structures (offsets, runs, masks) are
-  /// not counted.
+  /// The per-vertex structures (offsets, runs, masks) are not counted.
   uint64_t AdjacencyBytes() const;
 
   /// Degrees for the application context: dg's ingest-time cache when it

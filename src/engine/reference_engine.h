@@ -17,12 +17,13 @@
 
 namespace gdp::engine {
 
-/// The original single-threaded GAS engine, preserved verbatim as the
-/// accounting oracle. RunGasEngine (gas_engine.h) is the production engine;
-/// this one exists so determinism tests and benchmarks can demand
-/// bit-identical states AND RunStats against the historical implementation
-/// at every thread count. Do not optimize this function: every charge, in
-/// its exact order, is the contract.
+/// The original single-threaded GAS engine, kept as the accounting oracle.
+/// RunGasEngine (gas_engine.h) is the production engine; this one exists so
+/// determinism tests and benchmarks can demand bit-identical states AND
+/// RunStats against an independent implementation at every thread count.
+/// It scans the whole edge list every minor-step and charges every tick
+/// straight to the cluster. Do not optimize this function: its charges are
+/// the contract.
 template <GasApplication App>
 GasRunResult<App> RunGasEngineReference(EngineKind kind,
                                         const partition::DistributedGraph& dg,
@@ -130,23 +131,23 @@ GasRunResult<App> RunGasEngineReference(EngineKind kind,
   // Activation signals piggyback on the state-sync messages sent for the
   // same vertices (the real engines coalesce them), so scatter itself only
   // charges compute work.
-  // Returns the scatter compute total in quarter-units (span args only).
+  // Returns the scatter compute total in ticks (span args only).
   auto run_scatter = [&](const std::vector<bool>& signaled,
                          std::vector<bool>& next_active) -> uint64_t {
-    uint64_t units = 0;
+    uint64_t ticks = 0;
     for (uint64_t i = 0; i < dg.edges.size(); ++i) {
       const graph::Edge& e = dg.edges[i];
       bool src_scatters = IncludesOut(App::kScatterDir) && signaled[e.src];
       bool dst_scatters = IncludesIn(App::kScatterDir) && signaled[e.dst];
       if (!src_scatters && !dst_scatters) continue;
       sim::MachineId m = machine_of_edge(i);
-      const int events = (src_scatters ? 1 : 0) + (dst_scatters ? 1 : 0);
-      cluster.machine(m).AddWork(work_mul * events);
-      units += 4ULL * static_cast<uint64_t>(events);
+      const uint64_t events = (src_scatters ? 1 : 0) + (dst_scatters ? 1 : 0);
+      cluster.machine(m).AddTicks(sim::kTicksPerWorkUnit * events);
+      ticks += sim::kTicksPerWorkUnit * events;
       if (src_scatters) next_active[e.dst] = true;
       if (dst_scatters) next_active[e.src] = true;
     }
-    return units;
+    return ticks;
   };
 
   // Optional bootstrap: initially active vertices announce themselves;
@@ -155,7 +156,7 @@ GasRunResult<App> RunGasEngineReference(EngineKind kind,
     obs::ScopedSpan bootstrap_span(exec.trace, exec.trace_track, "bootstrap",
                                    "engine", cluster.now_seconds());
     std::vector<bool> next_active(n, false);
-    const uint64_t boot_units = run_scatter(active, next_active);
+    const uint64_t boot_ticks = run_scatter(active, next_active);
     uint64_t init_count = 0;
     for (graph::VertexId v = 0; v < n; ++v) {
       if (active[v]) {
@@ -163,10 +164,10 @@ GasRunResult<App> RunGasEngineReference(EngineKind kind,
         charge_activation(v);
       }
     }
-    cluster.EndPhase();
+    cluster.EndPhase(work_mul);
     active.swap(next_active);
     bootstrap_span.Arg("frontier", static_cast<int64_t>(init_count));
-    bootstrap_span.Arg("scatter_units", static_cast<int64_t>(boot_units));
+    bootstrap_span.Arg("scatter_ticks", static_cast<int64_t>(boot_ticks));
     bootstrap_span.Arg("scatter_bytes",
                        static_cast<int64_t>(activation_bytes));
     bootstrap_span.End(cluster.now_seconds());
@@ -209,14 +210,14 @@ GasRunResult<App> RunGasEngineReference(EngineKind kind,
       if (gather_dst) {
         app.GatherEdge(e.dst, e.src, state[e.src], ctx, &acc[e.dst]);
         has_gather[e.dst] = true;
-        cluster.machine(m).AddWork(work_mul);
-        if (observed) breakdown.gather_units += 4;
+        cluster.machine(m).AddTicks(sim::kTicksPerWorkUnit);
+        if (observed) breakdown.gather_ticks += sim::kTicksPerWorkUnit;
       }
       if (gather_src) {
         app.GatherEdge(e.src, e.dst, state[e.dst], ctx, &acc[e.src]);
         has_gather[e.src] = true;
-        cluster.machine(m).AddWork(work_mul);
-        if (observed) breakdown.gather_units += 4;
+        cluster.machine(m).AddTicks(sim::kTicksPerWorkUnit);
+        if (observed) breakdown.gather_ticks += sim::kTicksPerWorkUnit;
       }
     }
 
@@ -226,8 +227,8 @@ GasRunResult<App> RunGasEngineReference(EngineKind kind,
     for (graph::VertexId v = 0; v < n; ++v) {
       if (!active[v]) continue;
       sim::MachineId master = masks.master_machine[v];
-      cluster.machine(master).AddWork(work_mul);
-      if (observed) breakdown.apply_units += 4;
+      cluster.machine(master).AddTicks(sim::kTicksPerWorkUnit);
+      if (observed) breakdown.apply_ticks += sim::kTicksPerWorkUnit;
       bool signal = app.Apply(v, acc[v], has_gather[v], ctx, &state[v]);
       if (signal) {
         signaled[v] = true;
@@ -241,14 +242,13 @@ GasRunResult<App> RunGasEngineReference(EngineKind kind,
       if (kind == EngineKind::kGraphXPregel) {
         // Shuffle-block serialization per edge-partition touched (see the
         // gather_partition_count comment above).
-        double blocks =
-            static_cast<double>(gather_partition_count[v]) +
-            (signal ? static_cast<double>(scatter_partition_count[v]) : 0);
-        cluster.machine(master).AddWork(0.8 * work_mul * blocks);
+        const uint64_t blocks =
+            static_cast<uint64_t>(gather_partition_count[v]) +
+            (signal ? scatter_partition_count[v] : 0);
+        cluster.machine(master).AddTicks(sim::kShuffleBlockTicks * blocks);
         if (observed) {
-          breakdown.graphx_blocks +=
-              static_cast<uint64_t>(gather_partition_count[v]) +
-              (signal ? scatter_partition_count[v] : 0);
+          breakdown.apply_ticks += sim::kShuffleBlockTicks * blocks;
+          breakdown.graphx_blocks += blocks;
         }
       }
 
@@ -271,9 +271,9 @@ GasRunResult<App> RunGasEngineReference(EngineKind kind,
         cluster.machine(src).ReceiveBytes(sizes.control_message);
         cluster.machine(src).ChargePhaseBytes(sizes.gather_message);
         cluster.machine(master).ReceiveBytes(sizes.gather_message);
-        cluster.machine(src).AddWork(0.25 * work_mul);  // serialize
+        cluster.machine(src).AddTicks(sim::kSerializeTicks);
         if (observed) {
-          breakdown.apply_units += 1;
+          breakdown.apply_ticks += sim::kSerializeTicks;
           breakdown.apply_bytes +=
               sizes.control_message + sizes.gather_message;
         }
@@ -306,9 +306,9 @@ GasRunResult<App> RunGasEngineReference(EngineKind kind,
           sm &= sm - 1;
           cluster.machine(master).ChargePhaseBytes(sizes.sync_message);
           cluster.machine(dst).ReceiveBytes(sizes.sync_message);
-          cluster.machine(master).AddWork(0.25 * work_mul);
+          cluster.machine(master).AddTicks(sim::kSerializeTicks);
           if (observed) {
-            breakdown.apply_units += 1;
+            breakdown.apply_ticks += sim::kSerializeTicks;
             breakdown.apply_bytes += sizes.sync_message;
           }
         }
@@ -318,11 +318,11 @@ GasRunResult<App> RunGasEngineReference(EngineKind kind,
     // ---- Scatter minor-step ------------------------------------------------
     std::fill(next_active.begin(), next_active.end(), false);
     if (signaled_count > 0) {
-      breakdown.scatter_units = run_scatter(signaled, next_active);
+      breakdown.scatter_ticks = run_scatter(signaled, next_active);
     }
 
     // Three minor-step barriers per superstep (§5.1.2).
-    cluster.EndPhase();
+    cluster.EndPhase(work_mul);
     cluster.AdvanceSeconds(2 *
                            cluster.cost_model().barrier_latency_seconds);
     stats.cumulative_seconds.push_back(cluster.now_seconds() -

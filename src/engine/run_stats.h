@@ -16,7 +16,8 @@ struct RunOptions {
   /// PowerLyra degree threshold separating its low-/high-degree handling.
   uint64_t high_degree_threshold = 100;
   /// Extra multiplier on per-edge/vertex compute work (GraphX's JVM and
-  /// dataflow-join overheads are modeled as a constant factor).
+  /// dataflow-join overheads are modeled as a constant factor). Applied
+  /// once per machine per phase, to its tick total (Cluster::EndPhase).
   double work_multiplier = 1.0;
   /// Execution context: host thread count plus the observability sinks
   /// (timeline, metrics registry, trace recorder). exec.num_threads is the

@@ -493,7 +493,7 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
           pass, l, block_start(l), block_start(l + 1),
           [&](uint64_t i, graph::Edge e) {
             MachineId assigned = partitioner.Assign(e, pass, l);
-            s.acc.AddWorkUnits(
+            s.acc.AddTicks(
                 loader_machine,
                 kParseTicksPerEdge + partitioner.TakeAssignWorkTicks(l));
             if (pass == 0) {
@@ -542,8 +542,8 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
 
     // Pass barrier: merge the loader scratches (loader order — integer
     // counters, so any order gives the same totals) and apply them in the
-    // canonical order: allocations, then bytes + one closed-form work
-    // charge per machine, then partitioner-state deltas, then the phase
+    // canonical order: allocations, then bytes + one tick charge per
+    // machine, then partitioner-state deltas, then the phase
     // barrier, then the deferred frees. Memory only grows within a pass
     // (frees are deferred), so the bulk allocations reproduce the same
     // per-machine peaks as per-edge allocation would.
@@ -565,7 +565,7 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
       // Per-loader tick totals are integer sums inside one loader's lane —
       // identical at any thread count.
       for (uint32_t l = 0; l < num_loaders; ++l) {
-        loader_ticks[l]->Add(scratch[l].acc.TotalWorkUnits());
+        loader_ticks[l]->Add(scratch[l].acc.TotalTicks());
       }
       edges_moved_counter->Add(pass_moved);
       passes_counter->Increment();
@@ -573,7 +573,7 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
     for (uint32_t m = 0; m < num_machines; ++m) {
       if (alloc[m] != 0) cluster.machine(m).Allocate(alloc[m]);
     }
-    merged.FlushTo(cluster, Partitioner::kWorkPerTick);
+    merged.FlushTo(cluster);
     charge_state_delta();
     report.pass_seconds.push_back(cluster.EndPhase());
     if (timeline != nullptr) timeline->Sample(cluster);
@@ -581,7 +581,7 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
     for (uint32_t m = 0; m < num_machines; ++m) {
       if (frees[m] != 0) cluster.machine(m).Free(frees[m]);
     }
-    pass_span.Arg("ticks", static_cast<int64_t>(merged.TotalWorkUnits()));
+    pass_span.Arg("ticks", static_cast<int64_t>(merged.TotalTicks()));
     pass_span.Arg("sent_bytes",
                   static_cast<int64_t>(merged.TotalSentBytes()));
     pass_span.Arg("edges_moved", static_cast<int64_t>(pass_moved));
@@ -753,10 +753,13 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
   for (uint32_t m = 0; m < num_machines; ++m) {
     if (replica_bytes[m] != 0) cluster.machine(m).Allocate(replica_bytes[m]);
   }
-  // Per-vertex finalize work (building routing tables) on the masters.
+  // Per-vertex finalize work (building routing tables): one work unit per
+  // present vertex, split evenly in ticks with the remainder on the
+  // lowest-indexed machines, like the partitioner-state bytes.
+  const uint64_t finalize_ticks = sim::kTicksPerWorkUnit * present_count;
   for (uint32_t m = 0; m < num_machines; ++m) {
-    cluster.machine(m).AddWork(
-        static_cast<double>(present_count) / num_machines);
+    cluster.machine(m).AddTicks(finalize_ticks / num_machines +
+                                (m < finalize_ticks % num_machines ? 1 : 0));
   }
   report.pass_seconds.push_back(cluster.EndPhase());
   if (timeline != nullptr) timeline->Sample(cluster);

@@ -5,10 +5,10 @@
 // Kept deliberately independent of ingest.cc: no thread pool, no per-loader
 // scratch, no sharded finalize. One accumulator is filled in loader order
 // and flushed with the same canonical per-pass discipline (allocations,
-// then one closed-form work charge per machine, then partitioner-state
-// deltas, then the barrier, then deferred frees); all per-edge costs are
-// integers, which is why the straightforward serial sums here must equal
-// the pipeline's merged per-loader sums.
+// then one tick charge per machine, then partitioner-state deltas, then the
+// barrier, then deferred frees); all per-edge costs are integer ticks,
+// which is why the straightforward serial sums here must equal the
+// pipeline's merged per-loader sums.
 
 #include <algorithm>
 #include <string>
@@ -115,7 +115,7 @@ IngestResult IngestReference(const graph::EdgeList& edges,
       for (uint64_t i = begin; i < end; ++i) {
         const graph::Edge& e = dg.edges[i];
         MachineId assigned = partitioner.Assign(e, pass, l);
-        acc.AddWorkUnits(
+        acc.AddTicks(
             loader_machine,
             kParseTicksPerEdge + partitioner.TakeAssignWorkTicks(l));
         if (pass == 0) {
@@ -147,7 +147,7 @@ IngestResult IngestReference(const graph::EdgeList& edges,
       if (exec.metrics != nullptr) {
         // The shared accumulator's total delta across this loader's block
         // equals the pipeline's per-loader lane total.
-        const uint64_t ticks_now = acc.TotalWorkUnits();
+        const uint64_t ticks_now = acc.TotalTicks();
         loader_ticks[l]->Add(ticks_now - ticks_before_loader);
         ticks_before_loader = ticks_now;
       }
@@ -161,14 +161,14 @@ IngestResult IngestReference(const graph::EdgeList& edges,
     for (uint32_t m = 0; m < num_machines; ++m) {
       if (alloc[m] != 0) cluster.machine(m).Allocate(alloc[m]);
     }
-    acc.FlushTo(cluster, Partitioner::kWorkPerTick);
+    acc.FlushTo(cluster);
     charge_state_delta();
     report.pass_seconds.push_back(cluster.EndPhase());
     if (timeline != nullptr) timeline->Sample(cluster);
     for (uint32_t m = 0; m < num_machines; ++m) {
       if (frees[m] != 0) cluster.machine(m).Free(frees[m]);
     }
-    pass_span.Arg("ticks", static_cast<int64_t>(acc.TotalWorkUnits()));
+    pass_span.Arg("ticks", static_cast<int64_t>(acc.TotalTicks()));
     pass_span.Arg("sent_bytes", static_cast<int64_t>(acc.TotalSentBytes()));
     pass_span.Arg("edges_moved", static_cast<int64_t>(pass_moved));
     pass_span.End(cluster.now_seconds());
@@ -234,9 +234,10 @@ IngestResult IngestReference(const graph::EdgeList& edges,
   for (uint32_t m = 0; m < num_machines; ++m) {
     if (replica_bytes[m] != 0) cluster.machine(m).Allocate(replica_bytes[m]);
   }
+  const uint64_t finalize_ticks = sim::kTicksPerWorkUnit * present_count;
   for (uint32_t m = 0; m < num_machines; ++m) {
-    cluster.machine(m).AddWork(
-        static_cast<double>(present_count) / num_machines);
+    cluster.machine(m).AddTicks(finalize_ticks / num_machines +
+                                (m < finalize_ticks % num_machines ? 1 : 0));
   }
   report.pass_seconds.push_back(cluster.EndPhase());
   if (timeline != nullptr) timeline->Sample(cluster);

@@ -170,14 +170,12 @@ class Partitioner {
   virtual MachineId Assign(const graph::Edge& e, uint32_t pass,
                            uint32_t loader) = 0;
 
-  /// Granularity of work accounting: one tick = 0.05 simulated work units.
-  /// Every modeled Assign cost is an integer tick count, so per-loader
-  /// accounting lanes sum exactly (uint64) and the ingestor can flush one
-  /// closed-form AddWork per machine — the basis of the parallel pipeline's
-  /// bit-identical cost contract.
-  static constexpr double kWorkPerTick = 0.05;
-  /// Ticks equivalent of one legacy AddWork(1.0) unit.
-  static constexpr uint64_t kTicksPerWorkUnit = 20;
+  /// Work accounting is in simulated-clock ticks (1/20 of a work unit,
+  /// sim::kWorkPerTick). Every modeled Assign cost is an integer tick
+  /// count, so per-loader accounting lanes sum exactly (uint64) in any
+  /// order — the basis of the parallel pipeline's bit-identical cost
+  /// contract.
+  static constexpr uint64_t kTicksPerWorkUnit = sim::kTicksPerWorkUnit;
 
   /// Returns the work ticks accumulated by `loader`'s Assign() calls since
   /// the last call, and resets that lane. Consumed by the Ingestor after
@@ -204,8 +202,8 @@ class Partitioner {
   }
 
  protected:
-  /// Charges `ticks` x kWorkPerTick CPU units to `loader`'s accounting
-  /// lane. Safe to call concurrently for different loaders.
+  /// Charges `ticks` simulated-clock ticks to `loader`'s accounting lane.
+  /// Safe to call concurrently for different loaders.
   void AddWorkTicks(uint32_t loader, uint64_t ticks) {
     work_ticks_[loader] += ticks;
   }

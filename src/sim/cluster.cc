@@ -9,39 +9,34 @@ namespace gdp::sim {
 Cluster::Cluster(uint32_t num_machines, CostModel cost_model)
     : machines_(num_machines), cost_model_(cost_model) {}
 
-double Cluster::EndPhase() {
+std::pair<double, double> Cluster::ClosePhases(double work_multiplier) {
   double slowest = 0;
-  std::vector<double> phase_times(machines_.size());
-  for (size_t m = 0; m < machines_.size(); ++m) {
-    double t = cost_model_.WorkSeconds(machines_[m].phase_work()) +
-               cost_model_.TransferSeconds(machines_[m].phase_bytes());
-    phase_times[m] = t;
+  double total = 0;
+  for (Machine& machine : machines_) {
+    const double t =
+        cost_model_.WorkSeconds(static_cast<double>(machine.phase_ticks()) *
+                                kWorkPerTick * work_multiplier) +
+        cost_model_.TransferSeconds(machine.phase_bytes());
     slowest = std::max(slowest, t);
+    total += t;
+    machine.ClosePhase(t);
   }
-  for (size_t m = 0; m < machines_.size(); ++m) {
-    machines_[m].ClosePhase(phase_times[m]);
-  }
-  double duration = slowest + cost_model_.barrier_latency_seconds;
+  return {slowest, total};
+}
+
+double Cluster::EndPhase(double work_multiplier) {
+  const double duration =
+      ClosePhases(work_multiplier).first + cost_model_.barrier_latency_seconds;
   // Serial barrier-point advance (EndPhase runs on one thread).
   now_seconds_ += duration;  // NOLINT(no-float-accumulate)
   return duration;
 }
 
-double Cluster::EndPhaseAsync() {
-  double total = 0;
-  std::vector<double> phase_times(machines_.size());
-  for (size_t m = 0; m < machines_.size(); ++m) {
-    double t = cost_model_.WorkSeconds(machines_[m].phase_work()) +
-               cost_model_.TransferSeconds(machines_[m].phase_bytes());
-    phase_times[m] = t;
-    total += t;
-  }
-  for (size_t m = 0; m < machines_.size(); ++m) {
-    machines_[m].ClosePhase(phase_times[m]);
-  }
-  double duration = machines_.empty()
-                        ? 0.0
-                        : total / static_cast<double>(machines_.size());
+double Cluster::EndPhaseAsync(double work_multiplier) {
+  const double total = ClosePhases(work_multiplier).second;
+  const double duration = machines_.empty()
+                              ? 0.0
+                              : total / static_cast<double>(machines_.size());
   // Serial barrier-point advance (EndPhase runs on one thread).
   now_seconds_ += duration;  // NOLINT(no-float-accumulate)
   return duration;

@@ -2,6 +2,7 @@
 #define GDP_SIM_CLUSTER_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/cost_model.h"
@@ -19,10 +20,9 @@ class Machine {
   void SendBytes(uint64_t bytes) { bytes_sent_ += bytes; }
   void ReceiveBytes(uint64_t bytes) { bytes_received_ += bytes; }
 
-  /// Charges `work` abstract compute units to this machine's current phase.
-  // Single-threaded charge path: parallel engines fold integer
-  // PhaseAccumulator lanes first and flush here in canonical machine order.
-  void AddWork(double work) { phase_work_ += work; }  // NOLINT(no-float-accumulate)
+  /// Charges `ticks` of compute (kWorkPerTick work units each) to this
+  /// machine's current phase. An integer sum, so charges commute.
+  void AddTicks(uint64_t ticks) { phase_ticks_ += ticks; }
 
   /// Memory accounting with peak tracking.
   void Allocate(uint64_t bytes) {
@@ -41,9 +41,9 @@ class Machine {
   uint64_t peak_memory_bytes() const { return peak_memory_bytes_; }
   double busy_seconds() const { return busy_seconds_; }
 
-  /// Phase protocol (used by Cluster::EndPhase): work charged since the last
-  /// barrier and bytes sent since the last barrier.
-  double phase_work() const { return phase_work_; }
+  /// Phase protocol (used by Cluster::EndPhase): compute ticks charged and
+  /// bytes sent since the last barrier.
+  uint64_t phase_ticks() const { return phase_ticks_; }
   uint64_t phase_bytes() const { return phase_bytes_; }
   void ChargePhaseBytes(uint64_t bytes) {
     phase_bytes_ += bytes;
@@ -51,7 +51,7 @@ class Machine {
   }
   void ClosePhase(double busy) {
     busy_seconds_ += busy;  // NOLINT(no-float-accumulate): serial barrier
-    phase_work_ = 0;
+    phase_ticks_ = 0;
     phase_bytes_ = 0;
   }
 
@@ -61,14 +61,14 @@ class Machine {
   uint64_t memory_bytes_ = 0;
   uint64_t peak_memory_bytes_ = 0;
   double busy_seconds_ = 0;
-  double phase_work_ = 0;
+  uint64_t phase_ticks_ = 0;
   uint64_t phase_bytes_ = 0;
 };
 
 /// A verbatim copy of a Cluster's mutable state (per-machine counters plus
 /// the simulated clock), taken with Cluster::Snapshot() and reinstated with
 /// Cluster::Restore(). Machine is a plain value type of integer counters
-/// and double accumulators, so a snapshot/restore round trip is exact: a
+/// and a busy-seconds total, so a snapshot/restore round trip is exact: a
 /// compute phase started from a restored post-ingress snapshot charges the
 /// cluster bit-identically to one continuing on the original cluster. The
 /// harness partition cache (harness/partition_cache.h) relies on this to
@@ -99,13 +99,16 @@ class Cluster {
 
   /// Ends a bulk-synchronous phase: converts each machine's phase charges to
   /// seconds, advances the clock by the slowest machine plus one barrier
-  /// latency, accumulates busy time, and returns the phase duration.
-  double EndPhase();
+  /// latency, accumulates busy time, and returns the phase duration. A
+  /// machine's ticks become `ticks * kWorkPerTick * work_multiplier` work
+  /// units (evaluated left to right): the run's multiplier is applied here,
+  /// once per machine per phase, never per charge.
+  double EndPhase(double work_multiplier = 1.0);
 
   /// Ends an asynchronous round: same accounting, but the clock advances by
   /// the *mean* machine time (no global barrier; fast machines keep
   /// working). Used by the asynchronous engine (§5.1.2).
-  double EndPhaseAsync();
+  double EndPhaseAsync(double work_multiplier = 1.0);
 
   /// Advances the clock without a barrier (e.g., purely local phases).
   // Serial barrier-point advance: one add per phase, fixed order.
@@ -128,6 +131,10 @@ class Cluster {
   void Restore(const ClusterSnapshot& snapshot);
 
  private:
+  /// Closes every machine's phase; returns the slowest and the summed
+  /// machine times.
+  std::pair<double, double> ClosePhases(double work_multiplier);
+
   std::vector<Machine> machines_;
   CostModel cost_model_;
   double now_seconds_ = 0;

@@ -5,6 +5,20 @@
 
 namespace gdp::sim {
 
+/// The simulated clock's integer unit: one tick is 1/20 of a work unit.
+/// Every compute charge is a whole number of ticks, so per-machine phase
+/// charges are exact uint64 sums in any order; Cluster::EndPhase converts
+/// them to seconds once per machine per phase.
+inline constexpr uint64_t kTicksPerWorkUnit = 20;
+/// Work units per tick. The double nearest 0.05 is 0.05 * (1 + 2^-54), so
+/// any multiple of 5 ticks converts exactly: double(5 * u) * kWorkPerTick
+/// == u * 0.25 for every u below 2^50.
+inline constexpr double kWorkPerTick = 0.05;
+/// One message serialization: a quarter work unit.
+inline constexpr uint64_t kSerializeTicks = 5;
+/// One GraphX shuffle block: 0.8 work units.
+inline constexpr uint64_t kShuffleBlockTicks = 16;
+
 /// Converts abstract counters (work units, bytes, messages) into simulated
 /// seconds. All conversions are monotone, so orderings and crossover points
 /// between partitioning strategies — the paper's actual findings — are

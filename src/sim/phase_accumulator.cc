@@ -1,56 +1,36 @@
 #include "sim/phase_accumulator.h"
 
-#include <bit>
-#include <cmath>
-#include <cstring>
-
 #include "util/check.h"
 
 namespace gdp::sim {
 
 void PhaseAccumulator::Reset(uint32_t num_machines) {
-  work_units_.assign(num_machines, 0);
+  ticks_.assign(num_machines, 0);
   sent_bytes_.assign(num_machines, 0);
   recv_bytes_.assign(num_machines, 0);
 }
 
 void PhaseAccumulator::Merge(const PhaseAccumulator& other) {
-  GDP_CHECK_EQ(work_units_.size(), other.work_units_.size());
-  for (size_t m = 0; m < work_units_.size(); ++m) {
-    work_units_[m] += other.work_units_[m];
+  GDP_CHECK_EQ(ticks_.size(), other.ticks_.size());
+  for (size_t m = 0; m < ticks_.size(); ++m) {
+    ticks_[m] += other.ticks_[m];
     sent_bytes_[m] += other.sent_bytes_[m];
     recv_bytes_[m] += other.recv_bytes_[m];
   }
 }
 
-void PhaseAccumulator::FlushTo(Cluster& cluster, double unit_value) const {
-  for (size_t m = 0; m < work_units_.size(); ++m) {
+void PhaseAccumulator::FlushTo(Cluster& cluster) const {
+  for (size_t m = 0; m < ticks_.size(); ++m) {
     Machine& machine = cluster.machine(static_cast<MachineId>(m));
     if (sent_bytes_[m] != 0) machine.ChargePhaseBytes(sent_bytes_[m]);
     if (recv_bytes_[m] != 0) machine.ReceiveBytes(recv_bytes_[m]);
-    if (work_units_[m] != 0) {
-      machine.AddWork(static_cast<double>(work_units_[m]) * unit_value);
-    }
+    machine.AddTicks(ticks_[m]);
   }
 }
 
-void PhaseAccumulator::FlushToReplay(Cluster& cluster,
-                                     double unit_value) const {
-  const double whole_unit = 4.0 * unit_value;
-  for (size_t m = 0; m < work_units_.size(); ++m) {
-    Machine& machine = cluster.machine(static_cast<MachineId>(m));
-    if (sent_bytes_[m] != 0) machine.ChargePhaseBytes(sent_bytes_[m]);
-    if (recv_bytes_[m] != 0) machine.ReceiveBytes(recv_bytes_[m]);
-    GDP_DCHECK_EQ(work_units_[m] % 4, 0u);
-    for (uint64_t k = work_units_[m] / 4; k > 0; --k) {
-      machine.AddWork(whole_unit);
-    }
-  }
-}
-
-uint64_t PhaseAccumulator::TotalWorkUnits() const {
+uint64_t PhaseAccumulator::TotalTicks() const {
   uint64_t total = 0;
-  for (uint64_t u : work_units_) total += u;
+  for (uint64_t t : ticks_) total += t;
   return total;
 }
 
@@ -58,20 +38,6 @@ uint64_t PhaseAccumulator::TotalSentBytes() const {
   uint64_t total = 0;
   for (uint64_t b : sent_bytes_) total += b;
   return total;
-}
-
-bool PhaseAccumulator::ClosedFormExact(double unit_value,
-                                       uint64_t max_units) {
-  if (unit_value == 0.0) return true;
-  if (!std::isfinite(unit_value)) return false;
-  int exponent = 0;
-  double frac = std::frexp(std::fabs(unit_value), &exponent);
-  // frac in [0.5, 1): scale to a 53-bit integer mantissa (exact — doubles
-  // carry 53 significant bits).
-  auto mantissa = static_cast<uint64_t>(std::ldexp(frac, 53));
-  uint32_t odd_bits = static_cast<uint32_t>(std::bit_width(mantissa)) -
-                      static_cast<uint32_t>(std::countr_zero(mantissa));
-  return odd_bits + std::bit_width(max_units) <= 53;
 }
 
 }  // namespace gdp::sim

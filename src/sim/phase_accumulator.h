@@ -8,41 +8,23 @@
 
 namespace gdp::sim {
 
-/// Per-thread accounting scratch for one parallel engine minor-step (also
-/// used per-loader by the parallel ingress pipeline, whose unit is one
-/// Partitioner work tick = 0.05 units).
+/// Per-lane accounting scratch for one parallel minor-step: each engine
+/// lane (or ingress loader) counts compute ticks and sent/received bytes
+/// per machine here, and the owner merges the lanes and flushes them to the
+/// cluster on one thread at the end of the minor-step.
 ///
-/// The parallel GAS engine must produce *bit-identical* simulated costs at
-/// any thread count, including the costs the original serial engine
-/// produced. Floating-point sums are order-sensitive, so threads never call
-/// Machine::AddWork directly; instead each lane counts exact integers here
-/// and the engine merges + flushes them on one thread at the end of the
-/// minor-step:
-///
-///  - Bytes are integers: any merge order gives the same totals.
-///  - Compute work is only ever charged in multiples of 0.25x the run's
-///    work multiplier (1x per gather/apply/scatter event, 0.25x per
-///    message serialization), so lanes count integer *quarter units*.
-///
-/// Flushing converts units back to a double charge two ways:
-///  - FlushTo: one AddWork(units * unit_value) per machine. When
-///    ClosedFormExact(unit_value, max units) holds (unit_value's mantissa is
-///    narrow enough that every partial sum is exactly representable — true
-///    for the default work_multiplier 1.0 and any power of two), this is
-///    bit-identical to the serial engine's charge-by-charge accumulation.
-///  - FlushToReplay: `units / 4` repeated AddWork(4 * unit_value) calls per
-///    machine, reproducing the serial engine's exact rounding sequence for
-///    arbitrary multipliers when every charge was a whole work unit (the
-///    gather step). O(events), but only exotic multipliers need it.
+/// Every count is an integer, so merge order — and therefore the lane
+/// count — never changes a flushed total. That is the whole of the
+/// bit-identical-at-any-thread-count cost contract: Cluster::EndPhase then
+/// turns each machine's ticks into seconds once, applying the run's work
+/// multiplier there.
 class PhaseAccumulator {
  public:
   /// Prepares the accumulator for `num_machines` machines, zeroing it.
   void Reset(uint32_t num_machines);
 
-  /// Charges `quarter_units` x (0.25 * work_multiplier) of compute work.
-  void AddWorkUnits(MachineId m, uint64_t quarter_units) {
-    work_units_[m] += quarter_units;
-  }
+  /// Charges `ticks` of compute (Machine::AddTicks).
+  void AddTicks(MachineId m, uint64_t ticks) { ticks_[m] += ticks; }
   /// Counts bytes the machine sends this phase (Machine::ChargePhaseBytes).
   void ChargeSendBytes(MachineId m, uint64_t bytes) {
     sent_bytes_[m] += bytes;
@@ -56,34 +38,22 @@ class PhaseAccumulator {
   /// never affects the flushed result.
   void Merge(const PhaseAccumulator& other);
 
-  /// Flushes to the cluster in machine order with one closed-form AddWork
-  /// per machine; see class comment for when this is exact.
-  void FlushTo(Cluster& cluster, double unit_value) const;
+  /// Adds every machine's counts to the cluster's current phase.
+  void FlushTo(Cluster& cluster) const;
 
-  /// Flushes bytes like FlushTo but replays work as units/4 additions of
-  /// `4 * unit_value`, matching the serial engine's rounding for arbitrary
-  /// unit values. Requires every machine's units to be a multiple of 4.
-  void FlushToReplay(Cluster& cluster, double unit_value) const;
-
-  uint64_t work_units(MachineId m) const { return work_units_[m]; }
+  uint64_t ticks(MachineId m) const { return ticks_[m]; }
   uint64_t sent_bytes(MachineId m) const { return sent_bytes_[m]; }
   uint64_t recv_bytes(MachineId m) const { return recv_bytes_[m]; }
 
-  /// Sum of quarter-units over all machines. An integer sum in machine
-  /// order, so it is bit-identical at any thread count — the value the
-  /// observability spans attach as their simulated-cost breakdown.
-  uint64_t TotalWorkUnits() const;
+  /// Sum of ticks over all machines — the simulated-cost breakdown the
+  /// observability spans attach (an integer, so identical at any thread
+  /// count).
+  uint64_t TotalTicks() const;
   /// Sum of sent bytes over all machines (same determinism argument).
   uint64_t TotalSentBytes() const;
 
-  /// True when summing up to `max_units` charges of `unit_value` is exact
-  /// under any association — i.e. unit_value = m * 2^e with
-  /// bit_width(max_units) + bit_width(m) <= 53 — which makes FlushTo
-  /// bit-identical to charge-by-charge serial accumulation.
-  static bool ClosedFormExact(double unit_value, uint64_t max_units);
-
  private:
-  std::vector<uint64_t> work_units_;
+  std::vector<uint64_t> ticks_;
   std::vector<uint64_t> sent_bytes_;
   std::vector<uint64_t> recv_bytes_;
 };

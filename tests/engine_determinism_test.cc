@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "apps/kcore.h"
@@ -172,7 +173,7 @@ TEST_P(EngineDeterminismTest, WccGrid) {
 }
 
 TEST_P(EngineDeterminismTest, PageRankDyadicWorkMultiplier) {
-  // work_multiplier 4.0 keeps the closed-form fast accounting path exact.
+  // 4.0, the multiplier GraphX runs at in the harness.
   RunOptions options;
   options.max_iterations = 10;
   options.work_multiplier = 4.0;
@@ -181,8 +182,8 @@ TEST_P(EngineDeterminismTest, PageRankDyadicWorkMultiplier) {
 }
 
 TEST_P(EngineDeterminismTest, PageRankNonDyadicWorkMultiplier) {
-  // 0.3 has a wide mantissa, forcing the serial-replay accounting mode —
-  // results must STILL be bit-identical to the reference.
+  // 0.3 has a wide mantissa, so tick totals convert inexactly; both engines
+  // apply it once per machine per phase and must still agree bit for bit.
   RunOptions options;
   options.max_iterations = 10;
   options.work_multiplier = 0.3;
@@ -197,6 +198,62 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineDeterminismTest,
                          [](const ::testing::TestParamInfo<EngineKind>& i) {
                            return EngineKindName(i.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Pinned costs. The identity tests above compare the engine with its
+// reference, so a change that moves both together passes them. These
+// literals predate the integer tick clock: PowerGraph and PowerLyra charge
+// multiples of 5 ticks (a quarter work unit), which convert to seconds
+// exactly, so at the dyadic multipliers in use their costs must keep every
+// bit. Fresh clusters start at clock 0, so compute_seconds carries no
+// ingress-dependent rounding.
+// ---------------------------------------------------------------------------
+
+TEST(EngineAccountingPinTest, SyncCostsMatchRecordedBits) {
+  const graph::EdgeList edges = PowerLawGraph();
+  sim::Cluster ingest_cluster(kMachines, sim::CostModel{});
+  const IngestResult ingest = Partition(edges, ingest_cluster);
+  EXPECT_EQ(ingest.report.pass_seconds[0], 0x1.34dcab9214951p-11);
+
+  struct Pin {
+    EngineKind kind;
+    bool pagerank;  // PageRank(10), else SSSP from vertex 5
+    double multiplier;
+    double compute_seconds;
+  };
+  const Pin pins[] = {
+      {EngineKind::kPowerGraphSync, true, 1.0, 0x1.bbf4ad91732f8p-8},
+      {EngineKind::kPowerGraphSync, true, 4.0, 0x1.d10fa792d6871p-8},
+      {EngineKind::kPowerGraphSync, false, 1.0, 0x1.beff10b92d2a3p-9},
+      {EngineKind::kPowerGraphSync, false, 4.0, 0x1.d3e30df934565p-9},
+      {EngineKind::kPowerLyraHybrid, true, 1.0, 0x1.ac8eafc1e045fp-8},
+      {EngineKind::kPowerLyraHybrid, true, 4.0, 0x1.c141ba70bae47p-8},
+      {EngineKind::kPowerLyraHybrid, false, 1.0, 0x1.beff10b92d2a3p-9},
+      {EngineKind::kPowerLyraHybrid, false, 4.0, 0x1.d3e30df934565p-9},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(EngineKindName(pin.kind)) +
+                 (pin.pagerank ? " pagerank x" : " sssp x") +
+                 std::to_string(pin.multiplier));
+    sim::Cluster cluster(kMachines, sim::CostModel{});
+    RunOptions options;
+    options.work_multiplier = pin.multiplier;
+    double got = 0;
+    if (pin.pagerank) {
+      options.max_iterations = 10;
+      got = RunGasEngine(pin.kind, ingest.graph, cluster,
+                         apps::PageRankFixed(), options)
+                .stats.compute_seconds;
+    } else {
+      apps::SsspApp app;
+      app.source = 5;
+      options.max_iterations = 5000;
+      got = RunGasEngine(pin.kind, ingest.graph, cluster, app, options)
+                .stats.compute_seconds;
+    }
+    EXPECT_EQ(got, pin.compute_seconds);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // K-Core decomposition (a multi-run driver that threads RunOptions through

@@ -74,8 +74,8 @@ TEST(HybridTest, MasterPreferenceIsVertexHash) {
   // The master must sit where pass 0 put the vertex's in-edges: the
   // destination hash.
   graph::Edge e{3, 9};
-  MachineId edge_machine = p.Assign(e, 0, 0);
-  EXPECT_EQ(p.PreferredMaster(9), edge_machine);
+  MachineId assigned = p.Assign(e, 0, 0);
+  EXPECT_EQ(p.PreferredMaster(9), assigned);
 }
 
 TEST(HybridTest, StateBytesCoverDegreeCounters) {

@@ -325,7 +325,7 @@ TEST(LintNoPerEdgeAccounting, FlagsPerEntryMachineChargesInEngine) {
   fx.AddFile("src/engine/hot_loop.h", Header(R"(
 inline void Gather(Acc& acc, const Plan& plan, uint64_t b, uint64_t e) {
   for (uint64_t s = b; s < e; ++s) {
-    acc.AddWorkUnits(plan.gather_machine[s], 4);
+    acc.AddTicks(plan.gather_machine[s], 20);
   }
 }
 )"));
@@ -343,21 +343,21 @@ TEST(LintNoPerEdgeAccounting, AllowsRunTablesOtherDirsAndNolint) {
 inline void Charge(Acc& acc, const Plan& plan, uint64_t v) {
   for (uint64_t r = plan.run_offsets[v]; r < plan.run_offsets[v + 1]; ++r) {
     const uint32_t run = plan.runs[r];
-    acc.AddWorkUnits(Plan::RunMachine(run), 4ULL * Plan::RunCount(run));
+    acc.AddTicks(Plan::RunMachine(run), 20ULL * Plan::RunCount(run));
   }
 }
 )"));
   // Outside src/engine/ the rule does not apply (sim's accumulator tests
   // exercise the raw call shape deliberately).
   fx.AddFile("src/sim/accum_use.h", Header(R"(
-inline void Exercise(Acc& acc, const Tags& edge_machine, uint64_t s) {
-  acc.AddWorkUnits(edge_machine[s], 4);
+inline void Exercise(Acc& acc, const Tags& entry_machine, uint64_t s) {
+  acc.AddTicks(entry_machine[s], 20);
 }
 )"));
   // A deliberate per-entry charge can still opt out with a NOLINT.
   fx.AddFile("src/engine/baseline.h", Header(R"(
 inline void Baseline(Acc& acc, const Plan& plan, uint64_t s) {
-  acc.AddWorkUnits(plan.gather_machine[s], 4);  // NOLINT(no-per-edge-accounting)
+  acc.AddTicks(plan.gather_machine[s], 20);  // NOLINT(no-per-edge-accounting)
 }
 )"));
   const auto r = fx.Run();

@@ -459,9 +459,10 @@ TEST(ObsEngineDeterminismTest, SpanAndCounterFieldsIdenticalAcrossThreads) {
   }
 }
 
-TEST(ObsEngineDeterminismTest, GraphXReplayPathEmitsIdenticalBreakdowns) {
-  // GraphX's 0.8x shuffle-block charge forces the serial-replay accounting
-  // path; the graphx_blocks arg must still match the oracle at every
+TEST(ObsEngineDeterminismTest, GraphXBreakdownCarriesShuffleBlocks) {
+  // GraphX's apply charges 16 ticks per shuffle block on top of the sync
+  // engines' charges, and the lanes count the blocks themselves; the
+  // graphx_blocks and apply_ticks args must match the oracle at every
   // thread count.
   const graph::EdgeList edges = TestGraph();
   std::vector<SimSpan> want_spans;

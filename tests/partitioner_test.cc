@@ -109,13 +109,12 @@ TEST_P(EveryStrategyTest, ChargesIngressWork) {
   PartitionContext context = MakeContext(kPartitions, edges.num_vertices());
   std::unique_ptr<Partitioner> p = MakePartitioner(GetParam(), context);
   p->BeginPass(0);
-  double work = 0;
+  uint64_t ticks = 0;
   for (const graph::Edge& e : edges.edges()) {
     p->Assign(e, 0, 0);
-    work += Partitioner::kWorkPerTick *
-            static_cast<double>(p->TakeAssignWorkTicks(0));
+    ticks += p->TakeAssignWorkTicks(0);
   }
-  EXPECT_GT(work, 0.0) << "strategy must charge CPU work";
+  EXPECT_GT(ticks, 0u) << "strategy must charge CPU work";
 }
 
 TEST_P(EveryStrategyTest, IngestProducesConsistentDistributedGraph) {

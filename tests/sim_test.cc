@@ -37,9 +37,9 @@ TEST(ClusterTest, EndPhaseAdvancesByMaxPlusBarrier) {
   model.seconds_per_work = 1.0;
   model.barrier_latency_seconds = 0.5;
   Cluster cluster(3, model);
-  cluster.machine(0).AddWork(1.0);
-  cluster.machine(1).AddWork(5.0);  // straggler
-  cluster.machine(2).AddWork(2.0);
+  cluster.machine(0).AddTicks(20);
+  cluster.machine(1).AddTicks(100);  // straggler
+  cluster.machine(2).AddTicks(40);
   double dt = cluster.EndPhase();
   EXPECT_DOUBLE_EQ(dt, 5.5);
   EXPECT_DOUBLE_EQ(cluster.now_seconds(), 5.5);
@@ -50,8 +50,8 @@ TEST(ClusterTest, EndPhaseAsyncAdvancesByMean) {
   model.seconds_per_work = 1.0;
   model.barrier_latency_seconds = 0.5;
   Cluster cluster(2, model);
-  cluster.machine(0).AddWork(2.0);
-  cluster.machine(1).AddWork(4.0);
+  cluster.machine(0).AddTicks(40);
+  cluster.machine(1).AddTicks(80);
   double dt = cluster.EndPhaseAsync();
   EXPECT_DOUBLE_EQ(dt, 3.0);  // mean, no barrier
 }
@@ -61,7 +61,7 @@ TEST(ClusterTest, PhaseChargesResetBetweenPhases) {
   model.seconds_per_work = 1.0;
   model.barrier_latency_seconds = 0;
   Cluster cluster(1, model);
-  cluster.machine(0).AddWork(3.0);
+  cluster.machine(0).AddTicks(60);
   cluster.EndPhase();
   double dt = cluster.EndPhase();  // nothing charged this phase
   EXPECT_DOUBLE_EQ(dt, 0.0);
@@ -82,8 +82,8 @@ TEST(ClusterTest, BusySecondsAccumulatePerMachine) {
   model.seconds_per_work = 1.0;
   model.barrier_latency_seconds = 0;
   Cluster cluster(2, model);
-  cluster.machine(0).AddWork(1.0);
-  cluster.machine(1).AddWork(4.0);
+  cluster.machine(0).AddTicks(20);
+  cluster.machine(1).AddTicks(80);
   cluster.EndPhase();
   EXPECT_DOUBLE_EQ(cluster.machine(0).busy_seconds(), 1.0);
   EXPECT_DOUBLE_EQ(cluster.machine(1).busy_seconds(), 4.0);
@@ -94,8 +94,8 @@ TEST(ClusterTest, CpuUtilizationReflectsImbalance) {
   model.seconds_per_work = 1.0;
   model.barrier_latency_seconds = 0;
   Cluster cluster(2, model);
-  cluster.machine(0).AddWork(1.0);
-  cluster.machine(1).AddWork(4.0);
+  cluster.machine(0).AddTicks(20);
+  cluster.machine(1).AddTicks(80);
   cluster.EndPhase();
   std::vector<double> utils = cluster.CpuUtilizations();
   EXPECT_DOUBLE_EQ(utils[0], 0.25);  // idle while waiting at the barrier
@@ -175,15 +175,15 @@ TEST(PhaseAccumulatorTest, MergeIsOrderFree) {
   PhaseAccumulator a, b;
   a.Reset(2);
   b.Reset(2);
-  a.AddWorkUnits(0, 5);
+  a.AddTicks(0, 5);
   a.ChargeSendBytes(1, 100);
-  b.AddWorkUnits(0, 7);
+  b.AddTicks(0, 7);
   b.ChargeReceiveBytes(0, 30);
   PhaseAccumulator a2 = a, b2 = b;
   a.Merge(b);
   b2.Merge(a2);
   for (MachineId m = 0; m < 2; ++m) {
-    EXPECT_EQ(a.work_units(m), b2.work_units(m));
+    EXPECT_EQ(a.ticks(m), b2.ticks(m));
     EXPECT_EQ(a.sent_bytes(m), b2.sent_bytes(m));
     EXPECT_EQ(a.recv_bytes(m), b2.recv_bytes(m));
   }
@@ -193,42 +193,47 @@ TEST(PhaseAccumulatorTest, FlushToChargesClusterOnce) {
   Cluster cluster(2, CostModel{});
   PhaseAccumulator acc;
   acc.Reset(2);
-  acc.AddWorkUnits(0, 8);          // 8 quarter-units = 2.0 work at unit 0.25
+  acc.AddTicks(0, 40);  // 2.0 work units
   acc.ChargeSendBytes(0, 1000);
   acc.ChargeReceiveBytes(1, 1000);
-  acc.FlushTo(cluster, 0.25);
-  EXPECT_DOUBLE_EQ(cluster.machine(0).phase_work(), 2.0);
+  acc.FlushTo(cluster);
+  EXPECT_EQ(cluster.machine(0).phase_ticks(), 40u);
   EXPECT_EQ(cluster.machine(0).phase_bytes(), 1000u);
   EXPECT_EQ(cluster.machine(0).bytes_sent(), 1000u);
   EXPECT_EQ(cluster.machine(1).bytes_received(), 1000u);
 }
 
-TEST(PhaseAccumulatorTest, FlushToReplayMatchesSerialAccumulation) {
-  // Replay of k whole-unit charges must reproduce serial += exactly, even
-  // for a unit value whose repeated sum is inexact.
-  const double work = 0.3;
-  const int k = 1000;
-  Cluster serial(1, CostModel{});
-  for (int i = 0; i < k; ++i) serial.machine(0).AddWork(work);
+// ---------------------------------------------------------------------------
+// Tick-to-seconds conversion
+// ---------------------------------------------------------------------------
 
-  Cluster replayed(1, CostModel{});
-  PhaseAccumulator acc;
-  acc.Reset(1);
-  acc.AddWorkUnits(0, 4 * k);
-  acc.FlushToReplay(replayed, 0.25 * work);
-  EXPECT_EQ(replayed.machine(0).phase_work(), serial.machine(0).phase_work());
+TEST(ClusterTest, EndPhaseAppliesWorkMultiplierOnce) {
+  // The multiplier scales the machine's tick total once at the barrier,
+  // not each charge: 3 ticks at 0.3 convert as (3 * kWorkPerTick) * 0.3.
+  CostModel model;
+  model.barrier_latency_seconds = 0;
+  Cluster cluster(1, model);
+  cluster.machine(0).AddTicks(1);
+  cluster.machine(0).AddTicks(2);
+  const double want = model.WorkSeconds(3 * kWorkPerTick * 0.3);
+  EXPECT_EQ(cluster.EndPhase(0.3), want);
+  EXPECT_EQ(cluster.machine(0).busy_seconds(), want);
+  EXPECT_EQ(cluster.machine(0).phase_ticks(), 0u);
 }
 
-TEST(PhaseAccumulatorTest, ClosedFormExactForDyadicUnits) {
-  // 0.25 = 1 * 2^-2: one mantissa bit, exact up to huge counts.
-  EXPECT_TRUE(PhaseAccumulator::ClosedFormExact(0.25, 1ULL << 50));
-  EXPECT_TRUE(PhaseAccumulator::ClosedFormExact(1.0, 1ULL << 50));
-  EXPECT_TRUE(PhaseAccumulator::ClosedFormExact(0.0, 1ULL << 60));
-  // 0.3 uses the full 53-bit mantissa: only trivial counts are exact.
-  EXPECT_FALSE(PhaseAccumulator::ClosedFormExact(0.3, 1ULL << 20));
-  // 0.75 = 3 * 2^-2: two mantissa bits, still exact for realistic counts.
-  EXPECT_TRUE(PhaseAccumulator::ClosedFormExact(0.75, 1ULL << 50));
-  EXPECT_FALSE(PhaseAccumulator::ClosedFormExact(0.75, 1ULL << 52));
+TEST(ClusterTest, FiveTickMultiplesConvertExactly) {
+  // PowerGraph, PowerLyra and the async engines charge only multiples of 5
+  // ticks (a quarter work unit); 5u ticks must convert to exactly u quarter
+  // units — with and without a dyadic work multiplier — for their simulated
+  // costs to keep their bits.
+  for (uint64_t u : {uint64_t{1}, uint64_t{3}, (uint64_t{1} << 20) + 1,
+                     (uint64_t{1} << 40) + 7, (uint64_t{1} << 50) - 1}) {
+    SCOPED_TRACE(u);
+    const double quarters = static_cast<double>(u) * 0.25;
+    const double converted = static_cast<double>(5 * u) * kWorkPerTick;
+    EXPECT_EQ(converted, quarters);
+    EXPECT_EQ(converted * 4.0, quarters * 4.0);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "advisor/advisor.h"
 #include "graph/graph_stats.h"
 #include "graph/io.h"
+#include "machines_arg.h"
 
 int main(int argc, char** argv) {
   using namespace gdp;
@@ -19,6 +20,8 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  const uint32_t machines = tools::ParseMachinesArg(argv[2]);
+  if (machines == 0) return 1;
   auto loaded = graph::LoadEdgeList(argv[1]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
@@ -27,7 +30,7 @@ int main(int argc, char** argv) {
   graph::GraphStats stats = graph::ComputeGraphStats(loaded.value());
   advisor::Workload workload;
   workload.graph_class = stats.classified;
-  workload.num_machines = static_cast<uint32_t>(std::atoi(argv[2]));
+  workload.num_machines = machines;
   workload.compute_ingress_ratio = argc > 3 ? std::atof(argv[3]) : 1.0;
   workload.natural_application = argc > 4 ? std::atoi(argv[4]) != 0 : true;
 

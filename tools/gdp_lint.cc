@@ -61,13 +61,13 @@
 //                  capability to check. A mutex guarding nothing it can
 //                  name (e.g. an external stream) carries a NOLINT.
 //   no-per-edge-accounting
-//                  src/engine/ only: no AddWorkUnits call indexed by a
+//                  src/engine/ only: no AddTicks call indexed by a
 //                  per-entry machine array (`..._machine[...]`) — that
 //                  shape charges the accumulator once per adjacency entry
 //                  in the engines' innermost CSR loops. The plan's
 //                  per-vertex (machine, count) run tables charge the same
-//                  integer quarter-units with one call per distinct
-//                  machine, bit-identically (integer sums are order-free).
+//                  integer ticks with one call per distinct machine,
+//                  bit-identically (integer sums are order-free).
 //                  No per-edge kernel or sanctioned NOLINT remains.
 //
 // Comment and string contents — including raw string literals R"(...)" —
@@ -451,7 +451,7 @@ void CheckMutexAnnotated(const FileText& f, std::vector<Finding>& findings) {
   }
 }
 
-/// no-per-edge-accounting: an AddWorkUnits call whose machine argument
+/// no-per-edge-accounting: an AddTicks call whose machine argument
 /// indexes a per-entry machine array is a per-adjacency-entry charge — the
 /// shape the batched run-table kernels replaced. Integer charges are
 /// order-free, so batching per vertex is bit-identical; no per-edge kernel
@@ -460,13 +460,13 @@ void CheckPerEdgeAccounting(const FileText& f,
                             std::vector<Finding>& findings) {
   if (!InDir(f, "src/engine")) return;
   static const std::regex kPerEdge(
-      R"(\bAddWorkUnits\s*\([^;]*_machine\s*\[)");
+      R"(\bAddTicks\s*\([^;]*_machine\s*\[)");
   for (size_t i = 0; i < f.stripped.size(); ++i) {
     if (HasNolint(f.raw[i])) continue;
     if (std::regex_search(f.stripped[i], kPerEdge)) {
       findings.push_back(
           {f.rel, i + 1, "no-per-edge-accounting",
-           "AddWorkUnits charged per adjacency entry (per-entry machine "
+           "AddTicks charged per adjacency entry (per-entry machine "
            "index); batch through the plan's (machine, count) run tables — "
            "integer charges are order-free, so batching is bit-identical"});
     }

@@ -8,11 +8,11 @@
 // H-Ginger, 1D, 1D-Target, 2D, Chunked.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "graph/graph_stats.h"
 #include "graph/io.h"
+#include "machines_arg.h"
 #include "partition/ingest.h"
 #include "partition/placement_io.h"
 #include "sim/cluster.h"
@@ -26,6 +26,8 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
+  const uint32_t machines = tools::ParseMachinesArg(argv[3]);
+  if (machines == 0) return 1;
   util::StatusOr<graph::EdgeList> loaded = graph::LoadEdgeList(argv[1]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
@@ -39,12 +41,6 @@ int main(int argc, char** argv) {
                  strategy.status().ToString().c_str());
     return 1;
   }
-  uint32_t machines = static_cast<uint32_t>(std::atoi(argv[3]));
-  if (machines == 0) {
-    std::fprintf(stderr, "error: machines must be > 0\n");
-    return 1;
-  }
-
   graph::GraphStats stats = graph::ComputeGraphStats(edges);
   std::printf("graph: |V|=%u |E|=%llu class=%s\n", stats.num_vertices,
               static_cast<unsigned long long>(stats.num_edges),

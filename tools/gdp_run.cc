@@ -9,12 +9,12 @@
 // Engines: powergraph, powerlyra, graphx.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "apps/triangle_count.h"
 #include "graph/io.h"
 #include "harness/experiment.h"
+#include "machines_arg.h"
 #include "partition/placement_io.h"
 
 namespace {
@@ -90,13 +90,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: unknown engine %s\n", argv[3]);
     return 1;
   }
-  // The engines keep per-vertex machine sets in 64-bit masks.
-  const long machines_arg = std::atol(argv[5]);
-  if (machines_arg < 1 || machines_arg > 64) {
-    std::fprintf(stderr, "error: machines must be in [1, 64]\n");
-    return 1;
-  }
-  const uint32_t machines = static_cast<uint32_t>(machines_arg);
+  const uint32_t machines = tools::ParseMachinesArg(argv[5]);
+  if (machines == 0) return 1;
 
   auto loaded = graph::LoadEdgeList(argv[1]);
   if (!loaded.ok()) {
