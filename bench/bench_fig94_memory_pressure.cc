@@ -5,12 +5,6 @@
 // unpredictable number of redistribution retries, slow; (3) fits in the
 // first packed placement: fast, and faster yet with headroom as GC
 // overhead shrinks.
-//
-// Extension axis (DESIGN.md §14): the same memory-vs-behavior question for
-// our own ingress — sweeping IngestOptions::memory_budget_bytes over the
-// block-streamed pipeline shrinks the decode ring monotonically while the
-// partitioning result stays bit-identical (budgets degrade throughput,
-// never correctness).
 
 #include "bench_common.h"
 #include "engine/graphx_memory.h"
@@ -89,55 +83,5 @@ int main() {
       "within the fast-fit regime, more memory keeps reducing execution "
       "time (GC overhead)",
       last_fast_fit_time < first_fast_fit_time);
-
-  // ---- Extension: ingress memory-budget axis. ----------------------------
-  // Four decode threads and 512-edge blocks give the budget axis room to
-  // move (budget 0 means "double-buffer", not "maximal", so monotonicity
-  // is claimed across the explicit budgets only); the determinism contract
-  // keeps the partitioning result identical at every point regardless.
-  util::Table budget_table({"ingress budget", "ring buffers", "ring bytes",
-                            "== default-depth result"});
-  uint64_t prev_ring_bytes = ~0ull;
-  bool monotone = true, invariant = true;
-  const uint64_t budgets[] = {0, 1ull << 18, 1ull << 17, 1ull << 16, 1};
-  partition::IngestResult baseline;
-  for (uint64_t budget : budgets) {
-    sim::Cluster budget_cluster(9, sim::CostModel{});
-    partition::IngestOptions streamed = ingest_options;
-    streamed.use_block_store = true;
-    streamed.block_size_edges = 512;
-    streamed.exec.num_threads = 4;
-    streamed.memory_budget_bytes = budget;
-    partition::IngestMemoryStats stats;
-    streamed.memory_stats = &stats;
-    partition::IngestResult r = partition::IngestWithStrategy(
-        data.road_ca, partition::StrategyKind::kRandom, context,
-        budget_cluster, streamed);
-    if (budget == 0) {
-      baseline = r;
-    } else {
-      monotone = monotone && stats.ring_bytes <= prev_ring_bytes;
-      prev_ring_bytes = stats.ring_bytes;
-      invariant = invariant &&
-                  r.graph.edge_partition == baseline.graph.edge_partition &&
-                  r.graph.master == baseline.graph.master &&
-                  r.report.ingress_seconds == baseline.report.ingress_seconds;
-    }
-    budget_table.AddRow(
-        {budget == 0     ? "default (double-buffer)"
-         : budget < 1024 ? std::to_string(budget) + " B"
-                         : util::Table::Num(budget / 1024.0, 0) + " KiB",
-         std::to_string(stats.ring_buffers), std::to_string(stats.ring_bytes),
-         budget == 0 ? "-" : (invariant ? "yes" : "NO")});
-  }
-  bench::PrintTable(budget_table);
-  bench::Claim(
-      "tightening the ingress memory budget shrinks the decode ring "
-      "monotonically down to one block per loader",
-      monotone);
-  bench::Claim(
-      "the partitioning result is bit-identical at every ingress budget "
-      "(budgets trade throughput, never correctness)",
-      invariant);
   return 0;
 }

@@ -9,8 +9,8 @@
 // Grid: expansion strategies x ingress memory budgets on the heavy-tailed
 // LiveJournal analog, streamed from the compressed block store; HDRF rides
 // along as the streaming baseline. Metrics: replication factor, the
-// pipeline's peak byte ledger (decode ring + partitioner state), and host
-// ingest wall time.
+// pipeline's peak byte ledger (one decode buffer per loader + partitioner
+// state), and host ingest wall time.
 
 #include <chrono>
 #include <memory>
@@ -52,7 +52,6 @@ GridCell RunCell(const graph::EdgeList& edges, partition::StrategyKind kind,
   options.num_loaders = kMachines;
   options.use_block_store = true;
   options.exec.num_threads = 4;
-  options.memory_budget_bytes = budget;
   partition::IngestMemoryStats stats;
   options.memory_stats = &stats;
   GridCell cell;

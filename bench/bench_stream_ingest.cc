@@ -1,6 +1,6 @@
 // Streaming-ingress benchmark (no paper figure): the compressed edge-block
-// store and the bounded double-buffered decode pipeline in front of the
-// partitioner lanes (DESIGN.md §14).
+// store and the inline block-decode pipeline in front of the partitioner
+// lanes (DESIGN.md §14).
 //
 // Claims gating this bench:
 //  1. Compressed store: >= 2x smaller resident edge bytes than the flat
@@ -11,19 +11,12 @@
 //     IngestReference() exactly — DistributedGraph, IngressReport, and
 //     per-machine cluster counters — at 1/2/8 threads for all 13
 //     strategies (always checked).
-//  3. Memory budget: the decode ring's resident bytes respect
-//     IngestOptions::memory_budget_bytes, and the byte ledger is conserved
-//     (ring_bytes == ring_buffers * block bytes; always checked).
-//  4. Decode overlap: >= 1.3x wall-clock speedup on multi-pass strategies
-//     at 8 threads from double-buffering decode against the partitioner
-//     lanes (checked only when the host has >= 8 hardware threads;
-//     printed as an explicit skip otherwise).
+//  3. Byte ledger: one decode buffer per loader (ring_buffers == loaders),
+//     ring_bytes == ring_buffers * block_bytes, and peak_ledger_bytes ==
+//     ring_bytes + peak_state_bytes (always checked).
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -49,12 +42,6 @@ partition::PartitionContext MakeContext(graph::VertexId vertices) {
   return context;
 }
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 enum class Path { kReference, kFlat, kBlock };
 
 struct RunSnapshot {
@@ -65,25 +52,20 @@ struct RunSnapshot {
   std::vector<uint64_t> memory_bytes;
   std::vector<uint64_t> peak_memory_bytes;
   partition::IngestMemoryStats memory;
-  double wall_seconds = 0;
 };
 
 RunSnapshot RunOnce(const graph::EdgeList& edges,
                     const graph::EdgeBlockStore& store,
                     partition::StrategyKind kind, Path path,
-                    uint32_t num_threads, bool overlap_decode = true,
-                    uint64_t budget = 0) {
+                    uint32_t num_threads) {
   auto partitioner =
       partition::MakePartitioner(kind, MakeContext(edges.num_vertices()));
   sim::Cluster cluster(kMachines, sim::CostModel{});
   partition::IngestOptions options;
   options.num_loaders = kLoaders;
   options.exec.num_threads = num_threads;
-  options.overlap_decode = overlap_decode;
-  options.memory_budget_bytes = budget;
   RunSnapshot snap;
   options.memory_stats = &snap.memory;
-  auto start = std::chrono::steady_clock::now();
   switch (path) {
     case Path::kReference:
       snap.result = IngestReference(edges, *partitioner, cluster, options);
@@ -95,7 +77,6 @@ RunSnapshot RunOnce(const graph::EdgeList& edges,
       snap.result = Ingest(store, *partitioner, cluster, options);
       break;
   }
-  snap.wall_seconds = SecondsSince(start);
   for (uint32_t m = 0; m < kMachines; ++m) {
     const sim::Machine& machine = cluster.machine(m);
     snap.busy_seconds.push_back(machine.busy_seconds());
@@ -140,13 +121,10 @@ const std::vector<partition::StrategyKind>& AllThirteen() {
 
 int main() {
   bench::PrintHeader(
-      "Streaming ingress — compressed edge-block store + bounded decode "
-      "pipeline",
+      "Streaming ingress — compressed edge-block store + inline block "
+      "decode",
       "13 strategies, 9 machines, 16 loaders; power-law (Twitter-like) "
       "graph");
-
-  const uint32_t hw_threads = std::thread::hardware_concurrency();
-  std::printf("host hardware threads: %u\n", hw_threads);
 
   graph::EdgeList twitter = graph::GenerateHeavyTailed(
       {.num_vertices = 20000, .edges_per_vertex = 12, .seed = 0x7F});
@@ -196,66 +174,17 @@ int main() {
   }
   bench::PrintTable(matrix);
 
-  // ---- Claim 3: memory budget + ledger. ----------------------------------
-  const uint64_t budget = 64 * 1024;
-  const RunSnapshot budgeted =
+  // ---- Claim 3: byte ledger. ---------------------------------------------
+  const RunSnapshot ledger =
       RunOnce(twitter, store, partition::StrategyKind::kHdrf, Path::kBlock,
-              /*num_threads=*/4, /*overlap_decode=*/true, budget);
-  const RunSnapshot unbudgeted =
-      RunOnce(twitter, store, partition::StrategyKind::kHdrf, Path::kBlock,
-              /*num_threads=*/4, /*overlap_decode=*/true, /*budget=*/0);
+              /*num_threads=*/4);
   const bool ledger_ok =
-      budgeted.memory.ring_bytes ==
-          budgeted.memory.ring_buffers * budgeted.memory.block_bytes &&
-      budgeted.memory.peak_ledger_bytes ==
-          budgeted.memory.ring_bytes + budgeted.memory.peak_state_bytes &&
-      unbudgeted.memory.ring_bytes ==
-          unbudgeted.memory.ring_buffers * unbudgeted.memory.block_bytes;
-  // The ring floor is one decoded block per loader; any budget at or above
-  // that must be respected exactly.
-  const bool budget_ok =
-      budgeted.memory.ring_bytes <=
-          std::max<uint64_t>(budget,
-                             kLoaders * budgeted.memory.block_bytes) &&
-      budgeted.memory.ring_bytes <= unbudgeted.memory.ring_bytes;
-  bench::Metric("ring_bytes_unbudgeted",
-                static_cast<double>(unbudgeted.memory.ring_bytes));
-  bench::Metric("ring_bytes_64k_budget",
-                static_cast<double>(budgeted.memory.ring_bytes));
-
-  // ---- Claim 4: decode-overlap speedup on multi-pass strategies. ---------
-  const std::vector<partition::StrategyKind> multi_pass = {
-      partition::StrategyKind::kChunked, partition::StrategyKind::kDbh,
-      partition::StrategyKind::kHybridGinger};
-  util::Table overlap({"strategy", "inline(ms)", "overlap(ms)", "speedup"});
-  double best_speedup = 0;
-  if (hw_threads >= 8) {
-    for (partition::StrategyKind kind : multi_pass) {
-      double inline_wall = 1e300;
-      double overlap_wall = 1e300;
-      // Best-of-3 per configuration to damp scheduler noise.
-      for (int rep = 0; rep < 3; ++rep) {
-        inline_wall = std::min(
-            inline_wall, RunOnce(twitter, store, kind, Path::kBlock, 8,
-                                 /*overlap_decode=*/false)
-                             .wall_seconds);
-        overlap_wall = std::min(
-            overlap_wall, RunOnce(twitter, store, kind, Path::kBlock, 8,
-                                  /*overlap_decode=*/true)
-                              .wall_seconds);
-      }
-      const double speedup = inline_wall / overlap_wall;
-      best_speedup = std::max(best_speedup, speedup);
-      overlap.AddRow({partition::StrategyName(kind),
-                      util::Table::Num(inline_wall * 1e3),
-                      util::Table::Num(overlap_wall * 1e3),
-                      util::Table::Num(speedup)});
-      bench::Metric(std::string("overlap_speedup_") +
-                        partition::StrategyName(kind),
-                    speedup);
-    }
-    bench::PrintTable(overlap);
-  }
+      ledger.memory.ring_buffers == kLoaders &&
+      ledger.memory.ring_bytes ==
+          ledger.memory.ring_buffers * ledger.memory.block_bytes &&
+      ledger.memory.peak_ledger_bytes ==
+          ledger.memory.ring_bytes + ledger.memory.peak_state_bytes;
+  bench::Metric("ring_bytes", static_cast<double>(ledger.memory.ring_bytes));
 
   // ---- Claims ----
   bool ok = true;
@@ -271,21 +200,8 @@ int main() {
       "cluster counters)",
       identical);
   ok &= bench::Claim(
-      "decode-ring byte ledger conserved and a 64KiB budget caps the ring "
-      "at max(budget, one block per loader)",
-      ledger_ok && budget_ok);
-  if (hw_threads >= 8) {
-    ok &= bench::Claim(
-        ">= 1.3x multi-pass ingest speedup at 8 threads from overlapping "
-        "block decode with the partitioner lanes (best measured " +
-            util::Table::Num(best_speedup, 2) + "x)",
-        best_speedup >= 1.3);
-  } else {
-    ok &= bench::Claim(
-        "decode-overlap speedup claim skipped: host has only " +
-            std::to_string(hw_threads) +
-            " hardware thread(s); rerun on >= 8 cores to evaluate",
-        true);
-  }
+      "byte ledger conserved: one decode buffer per loader, ring_bytes == "
+      "ring_buffers x block_bytes, peak ledger == ring_bytes + peak state",
+      ledger_ok);
   return ok ? 0 : 1;
 }

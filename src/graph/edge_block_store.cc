@@ -327,6 +327,10 @@ namespace {
 
 constexpr uint64_t kMagic = 0x31534b4c42504447ULL;  // "GDPBLKS1"
 
+/// On-disk bytes of one block-table entry: bit_offset, chain, first.src,
+/// first.dst, src_width, dst_width.
+constexpr uint64_t kBlockMetaBytes = 8 + 8 + 4 + 4 + 1 + 1;
+
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
@@ -366,6 +370,19 @@ util::Status EdgeBlockStore::SerializeTo(std::ostream& out) const {
 
 util::StatusOr<EdgeBlockStore> EdgeBlockStore::DeserializeFrom(
     std::istream& in) {
+  // Every size field is checked against the bytes the stream still holds
+  // before it sizes an allocation, so a corrupt header is rejected instead
+  // of requesting terabytes.
+  const std::streampos start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(start);
+  if (start < 0 || end < start || !in) {
+    return util::Status::InvalidArgument(
+        "edge block store: stream is not seekable");
+  }
+  uint64_t left = static_cast<uint64_t>(end - start);
+
   uint64_t magic = 0;
   if (!ReadPod(in, &magic) || magic != kMagic) {
     return util::Status::InvalidArgument(
@@ -378,6 +395,12 @@ util::StatusOr<EdgeBlockStore> EdgeBlockStore::DeserializeFrom(
   if (!ReadPod(in, &name_size)) {
     return util::Status::InvalidArgument("edge block store: truncated header");
   }
+  left -= sizeof(magic) + sizeof(name_size);
+  if (name_size > left) {
+    return util::Status::InvalidArgument(
+        "edge block store: name length exceeds the file");
+  }
+  left -= name_size;
   store.name_.resize(name_size);
   in.read(store.name_.data(), static_cast<std::streamsize>(name_size));
   if (!in || !ReadPod(in, &store.num_vertices_) ||
@@ -386,18 +409,26 @@ util::StatusOr<EdgeBlockStore> EdgeBlockStore::DeserializeFrom(
       !ReadPod(in, &num_block_entries) || !ReadPod(in, &num_words)) {
     return util::Status::InvalidArgument("edge block store: truncated header");
   }
+  left -= sizeof(store.num_vertices_) + sizeof(store.block_size_edges_) +
+          sizeof(store.num_edges_) + sizeof(store.fingerprint_) +
+          sizeof(num_block_entries) + sizeof(num_words);
   if (store.block_size_edges_ == 0) {
     return util::Status::InvalidArgument(
         "edge block store: zero block size");
   }
   const uint64_t expect_blocks =
-      (store.num_edges_ + store.block_size_edges_ - 1) /
-      store.block_size_edges_;
+      store.num_edges_ / store.block_size_edges_ +
+      (store.num_edges_ % store.block_size_edges_ != 0 ? 1 : 0);
   if (num_block_entries != expect_blocks) {
     return util::Status::InvalidArgument(
         "edge block store: block count " + std::to_string(num_block_entries) +
         " does not cover " + std::to_string(store.num_edges_) + " edges");
   }
+  if (num_block_entries > left / kBlockMetaBytes) {
+    return util::Status::InvalidArgument(
+        "edge block store: block table exceeds the file");
+  }
+  left -= num_block_entries * kBlockMetaBytes;
   store.blocks_.resize(num_block_entries);
   for (BlockMeta& m : store.blocks_) {
     if (!ReadPod(in, &m.bit_offset) || !ReadPod(in, &m.chain) ||
@@ -406,6 +437,10 @@ util::StatusOr<EdgeBlockStore> EdgeBlockStore::DeserializeFrom(
       return util::Status::InvalidArgument(
           "edge block store: truncated block table");
     }
+  }
+  if (num_words > left / sizeof(uint64_t)) {
+    return util::Status::InvalidArgument(
+        "edge block store: payload exceeds the file");
   }
   store.words_.resize(num_words);
   in.read(reinterpret_cast<char*>(store.words_.data()),
@@ -425,9 +460,13 @@ util::StatusOr<EdgeBlockStore> EdgeBlockStore::DeserializeFrom(
           "edge block store: invalid delta width in block " +
           std::to_string(b));
     }
+    // A block holds fewer than 2^32 edges of at most 66 bits each, so the
+    // span cannot overflow, but the offset plus the span may wrap.
     const uint64_t end_bit =
         m.bit_offset + (count - 1) * (m.src_width + m.dst_width);
-    if (count == 0 || (end_bit + 63) / 64 + 1 > store.words_.size()) {
+    if (count == 0 || end_bit < m.bit_offset ||
+        end_bit / 64 + (end_bit % 64 != 0 ? 1 : 0) + 1 >
+            store.words_.size()) {
       return util::Status::InvalidArgument(
           "edge block store: block " + std::to_string(b) +
           " payload exceeds word array");

@@ -62,8 +62,7 @@ partition::PartitionContext PartitionContextFor(const graph::EdgeList& edges,
   context.num_loaders =
       spec.num_loaders == 0 ? spec.num_machines : spec.num_loaders;
   context.seed = spec.seed;
-  // Budget-aware strategies (SNE, HEP) size their resident state from the
-  // same knob that bounds the streaming-ingress working set.
+  // Budget-aware strategies (SNE, HEP) size their resident state from it.
   context.memory_budget_bytes = spec.ingress_memory_budget_bytes;
   return context;
 }
@@ -84,8 +83,6 @@ partition::IngestOptions IngestOptionsFor(const ExperimentSpec& spec,
   options.seed = spec.seed ^ 0x51ed2701;
   options.use_block_store = spec.use_block_ingress;
   options.block_size_edges = spec.ingress_block_size_edges;
-  options.memory_budget_bytes = spec.ingress_memory_budget_bytes;
-  options.overlap_decode = spec.ingress_overlap_decode;
   switch (spec.engine) {
     case engine::EngineKind::kPowerGraphSync:
       options.master_policy = partition::MasterPolicy::kRandomReplica;

@@ -55,20 +55,19 @@ struct ExperimentSpec {
   /// Parallel loaders (0 = one per machine, the paper's setup).
   uint32_t num_loaders = 0;
   /// Streaming ingress: feed the partitioners from a compressed
-  /// EdgeBlockStore through the bounded decode ring instead of the flat
-  /// edge vector (partition/ingest.h). Results are bit-identical either
-  /// way; this trades a little decode CPU for a much smaller resident edge
-  /// working set.
+  /// EdgeBlockStore, each loader decoding one block at a time into its own
+  /// buffer, instead of the flat edge vector (partition/ingest.h). Results
+  /// are bit-identical either way; this trades a little decode CPU for a
+  /// much smaller resident edge working set.
   bool use_block_ingress = false;
   /// Block size for the store (0 = EdgeBlockStore default). Only read when
   /// use_block_ingress is set.
   uint32_t ingress_block_size_edges = 0;
-  /// Byte budget for the streaming pipeline's decoded working set
-  /// (IngestOptions::memory_budget_bytes; 0 = unbounded double buffering).
+  /// Ingress memory budget in bytes (0 = unbounded), passed to the
+  /// partitioner as PartitionContext::memory_budget_bytes: budget-aware
+  /// strategies (SNE, HEP) bound their resident state by it, and it joins
+  /// their PartitionCache key. Other strategies ignore it.
   uint64_t ingress_memory_budget_bytes = 0;
-  /// Overlap block decode with the partition kernels (default on; the
-  /// bench baseline turns it off).
-  bool ingress_overlap_decode = true;
   /// Capture a resource timeline (Fig 6.3). The timeline lives in the
   /// ExperimentResult, so it stays a flag here rather than moving into
   /// `exec` (which carries caller-owned sinks).

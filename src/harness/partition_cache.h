@@ -38,9 +38,8 @@ struct IngressKey {
       partition::MasterPolicy::kRandomReplica;
   bool use_partitioner_master_preference = false;
   /// The spec's ingress memory budget, but only when the strategy's
-  /// registry traits say it reads the budget (SNE, HEP) — for everyone
-  /// else the budget only throttles the decode ring, which cannot change
-  /// the placement, so keying on it would just shred hit rates.
+  /// registry traits say it reads the budget (SNE, HEP) — everyone else
+  /// ignores it, so keying on it would just shred hit rates.
   uint64_t memory_budget_bytes = 0;
 
   friend auto operator<=>(const IngressKey&, const IngressKey&) = default;

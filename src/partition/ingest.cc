@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/edge_block_store.h"
@@ -11,7 +10,6 @@
 #include "sim/phase_accumulator.h"
 #include "util/hash.h"
 #include "util/check.h"
-#include "util/mutex.h"
 #include "util/thread_pool.h"
 
 namespace gdp::partition {
@@ -91,7 +89,7 @@ uint32_t ResolveNumThreads(const IngestOptions& options,
 // streams global edge positions [begin, end) in order, calling
 // fn(i, edge_i). FlatSource is the original single-span path over the
 // materialized vector; BlockSource feeds the same positions from the
-// compressed EdgeBlockStore through a bounded ring of decoded blocks. The
+// compressed EdgeBlockStore, one decoded block per loader at a time. The
 // per-edge costs charged downstream are identical by construction, which is
 // what makes the two paths bit-identical.
 
@@ -106,8 +104,6 @@ class FlatSource {
   bool Materialized() const { return true; }
 
   void InitEdges(std::vector<graph::Edge>* out) { *out = edges_.edges(); }
-  void BeginStreamPass(uint32_t /*pass*/) {}
-  void EndStreamPass() {}
 
   template <typename Fn>
   void StreamRange(uint32_t /*pass*/, uint32_t /*loader*/, uint64_t begin,
@@ -126,65 +122,22 @@ class FlatSource {
 };
 
 /// The streaming path: loaders consume their contiguous edge range block by
-/// block from the compressed store. Each loader owns a small ring of
-/// decoded-block buffers (slot for block sequence s = s mod depth). With
-/// decode overlap, a crew of decoder threads fills ring slots ahead of the
-/// consumers — double-buffering block decode against the partition kernels,
-/// and running ahead of the single live consumer during serialized passes;
-/// without it, each consumer decodes its next block inline into its own
-/// scratch (same buffers, no overlap — the bench baseline).
-///
-/// Ownership protocol for a slot's buffer (why `buf` itself needs no
-/// GDP_GUARDED_BY): after claiming sequence s under the mutex, exactly one
-/// decoder writes slot s%depth until it marks it full; the consumer reads
-/// it only after observing full under the mutex, and no decoder may reclaim
-/// the slot until the consumer releases it (claims require
-/// next_decode < consumed + depth). The mutex hand-offs order the accesses.
-///
-/// Determinism: the ring changes only *when* a block is decoded, never what
-/// a consumer sees — loader l still visits positions [begin_l, end_l) in
-/// exact stream order, so everything downstream is bit-identical to the
-/// flat path.
+/// block from the compressed store. Each loader decodes its next block
+/// inline, into a scratch buffer it owns, on the pool lane that already runs
+/// it — so the decoded working set is one block per loader at any thread
+/// count. Loader l visits positions [begin_l, end_l) in exact stream order,
+/// so everything downstream is bit-identical to the flat path.
 class BlockSource {
  public:
-  BlockSource(const graph::EdgeBlockStore& store, const IngestOptions& options,
-              uint32_t num_loaders, uint32_t num_threads)
-      : store_(store), num_loaders_(num_loaders) {
-    block_bytes_ = static_cast<uint64_t>(store.block_size_edges()) *
-                   sizeof(graph::Edge);
-    overlap_ = options.overlap_decode && num_threads > 1;
-    // Ring depth: the budget (covering all loaders' decoded buffers) sized
-    // down, floored at one buffer per loader — the streaming minimum — and
-    // capped where deeper look-ahead stops paying. Without a budget,
-    // classic double buffering.
-    uint64_t depth = 2;
-    if (options.memory_budget_bytes != 0) {
-      depth = options.memory_budget_bytes /
-              (static_cast<uint64_t>(num_loaders) * block_bytes_);
-      depth = std::clamp<uint64_t>(depth, 1, 8);
-    }
-    if (!overlap_) depth = 1;  // inline decode: one scratch per loader
-    depth_ = static_cast<uint32_t>(depth);
-    crew_size_ = overlap_ ? std::min(num_threads, 4u) : 0;
-    rings_.resize(num_loaders);
-    const uint64_t num_edges = store.num_edges();
-    for (uint32_t l = 0; l < num_loaders; ++l) {
-      const uint64_t begin = num_edges * l / num_loaders;
-      const uint64_t end = num_edges * (l + 1) / num_loaders;
-      Ring& r = rings_[l];
-      if (begin < end) {
-        r.first_block = begin / store.block_size_edges();
-        r.num_blocks = (end - 1) / store.block_size_edges() - r.first_block + 1;
-      }
-      r.slots.resize(depth_);
-    }
-  }
+  BlockSource(const graph::EdgeBlockStore& store, uint32_t num_loaders,
+              bool materialize_edges)
+      : store_(store),
+        materialize_(materialize_edges),
+        scratch_(num_loaders) {}
 
   uint64_t num_edges() const { return store_.num_edges(); }
   graph::VertexId num_vertices() const { return store_.num_vertices(); }
   bool Materialized() const { return materialize_target_ != nullptr; }
-
-  void set_materialize(bool materialize) { materialize_ = materialize; }
 
   void InitEdges(std::vector<graph::Edge>* out) {
     if (!materialize_) return;
@@ -192,59 +145,24 @@ class BlockSource {
     materialize_target_ = out;
   }
 
-  /// Ring buffers the ledger accounts for: depth per loader with overlap,
-  /// one inline scratch per loader without.
-  uint64_t RingBuffers() const {
-    return static_cast<uint64_t>(num_loaders_) * depth_;
-  }
-  uint64_t BlockBytes() const { return block_bytes_; }
-
-  void BeginStreamPass(uint32_t /*pass*/) {
-    if (!overlap_) return;
-    {
-      util::MutexLock lock(mu_);
-      for (Ring& r : rings_) {
-        r.next_decode = 0;
-        r.consumed = 0;
-        for (Slot& s : r.slots) {
-          s.full = false;
-          s.seq = 0;
-        }
-      }
-    }
-    crew_.reserve(crew_size_);
-    for (uint32_t t = 0; t < crew_size_; ++t) {
-      crew_.emplace_back([this, t] { DecodeLoop(t); });
-    }
+  /// Decode buffers the ledger accounts for: one scratch per loader.
+  uint64_t RingBuffers() const { return scratch_.size(); }
+  uint64_t BlockBytes() const {
+    return static_cast<uint64_t>(store_.block_size_edges()) *
+           sizeof(graph::Edge);
   }
 
-  void EndStreamPass() {
-    if (!overlap_) return;
-    for (std::thread& t : crew_) t.join();
-    crew_.clear();
-    // Ledger conservation: every decoded buffer was handed back — the ring
-    // drained, no slot still charged to a consumer.
-    util::MutexLock lock(mu_);
-    for (const Ring& r : rings_) {
-      GDP_DCHECK_EQ(r.next_decode, r.num_blocks);
-      GDP_DCHECK_EQ(r.consumed, r.num_blocks);
-      for (const Slot& s : r.slots) {
-        GDP_DCHECK(!s.full);
-        GDP_DCHECK_LE(s.buf.size(), store_.block_size_edges());
-      }
-    }
-  }
-
+  /// Loader l's range: only loader l's lane touches scratch_[l], so
+  /// concurrent loaders never share a buffer.
   template <typename Fn>
   void StreamRange(uint32_t pass, uint32_t l, uint64_t begin, uint64_t end,
                    Fn&& fn) {
     if (begin >= end) return;
+    std::vector<graph::Edge>& buf = scratch_[l];
     const uint64_t first = begin / store_.block_size_edges();
     const uint64_t last = (end - 1) / store_.block_size_edges();
     for (uint64_t b = first; b <= last; ++b) {
-      const uint64_t seq = b - first;
-      const std::vector<graph::Edge>& buf =
-          overlap_ ? AcquireSlot(l, seq) : DecodeInline(l, b);
+      store_.DecodeBlock(b, &buf);
       const uint64_t block_begin = store_.BlockBegin(b);
       const uint64_t lo = std::max(begin, block_begin);
       const uint64_t hi = std::min(end, store_.BlockEnd(b));
@@ -257,13 +175,12 @@ class BlockSource {
                   materialize_target_->begin() + static_cast<ptrdiff_t>(lo));
       }
       for (uint64_t i = lo; i < hi; ++i) fn(i, buf[i - block_begin]);
-      if (overlap_) ReleaseSlot(l, seq);
     }
   }
 
-  /// Finalize-shard streaming (no ring, no crew): decodes the blocks
-  /// overlapping [begin, end) into a local buffer. Safe to call from
-  /// concurrent shards — DecodeBlock is const and the buffer is local.
+  /// Finalize-shard streaming: decodes the blocks overlapping [begin, end)
+  /// into a local buffer. Safe to call from concurrent shards —
+  /// DecodeBlock is const and the buffer is local.
   template <typename Fn>
   void StreamShard(uint64_t begin, uint64_t end, Fn&& fn) const {
     if (begin >= end) return;
@@ -280,110 +197,10 @@ class BlockSource {
   }
 
  private:
-  struct Slot {
-    /// Decoded block contents. Unguarded by design: see the ownership
-    /// protocol in the class comment.
-    std::vector<graph::Edge> buf;
-    uint64_t seq GDP_GUARDED_BY(mu_) = 0;  ///< which sequence fills the slot
-    bool full GDP_GUARDED_BY(mu_) = false;
-  };
-
-  /// One loader's view of the store: its block range and decoded-slot ring.
-  struct Ring {
-    uint64_t first_block = 0;
-    uint64_t num_blocks = 0;
-    std::vector<Slot> slots;  ///< fixed layout; per-slot state guarded
-    uint64_t next_decode GDP_GUARDED_BY(mu_) = 0;  ///< sequences claimed
-    uint64_t consumed GDP_GUARDED_BY(mu_) = 0;     ///< sequences released
-  };
-
-  const std::vector<graph::Edge>& AcquireSlot(uint32_t l, uint64_t seq) {
-    Ring& r = rings_[l];
-    Slot& slot = r.slots[seq % depth_];
-    util::MutexLock lock(mu_);
-    while (!(slot.full && slot.seq == seq)) consume_cv_.Wait(mu_);
-    return slot.buf;
-  }
-
-  void ReleaseSlot(uint32_t l, uint64_t seq) {
-    Ring& r = rings_[l];
-    util::MutexLock lock(mu_);
-    r.slots[seq % depth_].full = false;
-    ++r.consumed;
-    decode_cv_.NotifyAll();
-  }
-
-  const std::vector<graph::Edge>& DecodeInline(uint32_t l, uint64_t block) {
-    Slot& slot = rings_[l].slots[0];
-    store_.DecodeBlock(block, &slot.buf);
-    return slot.buf;
-  }
-
-  /// Picks the next decodable (loader, sequence): lowest unclaimed sequence
-  /// of some loader whose ring has a free slot for it. Scans loaders
-  /// round-robin from a caller-supplied start so crew threads spread across
-  /// loaders instead of piling onto loader 0.
-  bool FindDecodable(uint32_t start, uint32_t* l_out, uint64_t* seq_out)
-      GDP_REQUIRES(mu_) {
-    for (uint32_t k = 0; k < num_loaders_; ++k) {
-      const uint32_t l = (start + k) % num_loaders_;
-      Ring& r = rings_[l];
-      if (r.next_decode < r.num_blocks && r.next_decode < r.consumed + depth_) {
-        *l_out = l;
-        *seq_out = r.next_decode;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool AllClaimed() GDP_REQUIRES(mu_) {
-    for (const Ring& r : rings_) {
-      if (r.next_decode < r.num_blocks) return false;
-    }
-    return true;
-  }
-
-  void DecodeLoop(uint32_t thread_index) {
-    for (;;) {
-      uint32_t l = 0;
-      uint64_t seq = 0;
-      {
-        util::MutexLock lock(mu_);
-        for (;;) {
-          if (FindDecodable(thread_index, &l, &seq)) break;
-          if (AllClaimed()) return;
-          // Nothing decodable: every incomplete ring is depth slots ahead
-          // of its consumer. A consumer release reopens work.
-          decode_cv_.Wait(mu_);
-        }
-        ++rings_[l].next_decode;  // claim (l, seq) exclusively
-      }
-      Ring& r = rings_[l];
-      Slot& slot = r.slots[seq % depth_];
-      store_.DecodeBlock(r.first_block + seq, &slot.buf);
-      {
-        util::MutexLock lock(mu_);
-        slot.seq = seq;
-        slot.full = true;
-        consume_cv_.NotifyAll();
-      }
-    }
-  }
-
   const graph::EdgeBlockStore& store_;
-  uint32_t num_loaders_;
-  uint64_t block_bytes_ = 0;
-  bool overlap_ = false;
-  uint32_t depth_ = 1;
-  uint32_t crew_size_ = 0;
-  bool materialize_ = true;
+  bool materialize_;
   std::vector<graph::Edge>* materialize_target_ = nullptr;
-  std::vector<Ring> rings_;
-  std::vector<std::thread> crew_;
-  util::Mutex mu_;
-  util::CondVar decode_cv_;   ///< consumers freed a slot
-  util::CondVar consume_cv_;  ///< decoders filled a slot
+  std::vector<std::vector<graph::Edge>> scratch_;  ///< per-loader decode
 };
 
 // ---------------------------------------------------------------------------
@@ -484,7 +301,6 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
                               cluster.now_seconds());
     partitioner.BeginPass(pass);
     for (LoaderScratch& s : scratch) s.Reset(num_machines);
-    source.BeginStreamPass(pass);
 
     auto run_loader = [&](uint32_t l) {
       LoaderScratch& s = scratch[l];
@@ -537,7 +353,6 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
     } else {
       for (uint32_t l = 0; l < num_loaders; ++l) run_loader(l);
     }
-    source.EndStreamPass();
     partitioner.EndPass(pass);
 
     // Pass barrier: merge the loader scratches (loader order — integer
@@ -804,11 +619,9 @@ IngestResult Ingest(const graph::EdgeBlockStore& store,
                     const IngestOptions& options) {
   const uint32_t num_machines = cluster.num_machines();
   GDP_CHECK_GT(num_machines, 0u);
-  const uint32_t num_loaders =
-      ResolveNumLoaders(options, partitioner, num_machines);
-  const uint32_t num_threads = ResolveNumThreads(options, num_loaders);
-  BlockSource source(store, options, num_loaders, num_threads);
-  source.set_materialize(options.materialize_edges);
+  BlockSource source(store,
+                     ResolveNumLoaders(options, partitioner, num_machines),
+                     options.materialize_edges);
   IngestResult result = IngestImpl(source, partitioner, cluster, options);
   if (options.memory_stats != nullptr) {
     IngestMemoryStats& stats = *options.memory_stats;
@@ -829,11 +642,6 @@ IngestResult IngestWithStrategy(const graph::EdgeList& edges,
                                 const IngestOptions& options) {
   PartitionContext ctx = context;
   if (ctx.num_vertices == 0) ctx.num_vertices = edges.num_vertices();
-  // Budget-aware strategies read the same knob the streaming pipeline
-  // honors; a context that already carries a budget wins.
-  if (ctx.memory_budget_bytes == 0) {
-    ctx.memory_budget_bytes = options.memory_budget_bytes;
-  }
   std::unique_ptr<Partitioner> partitioner = MakePartitioner(kind, ctx);
   if (options.use_block_store) {
     graph::EdgeBlockStore::Options store_options;

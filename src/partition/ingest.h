@@ -25,21 +25,21 @@ namespace gdp::partition {
 /// pipeline itself holds — distinct from the simulated cluster memory the
 /// IngressReport charges.
 struct IngestMemoryStats {
-  /// Decoded bytes one ring buffer holds (block_size_edges * sizeof(Edge)).
+  /// Decoded bytes one decode buffer holds (block_size_edges * sizeof(Edge)).
   uint64_t block_bytes = 0;
-  /// Total decoded ring buffers across all loaders (ring depth * loaders
-  /// with decode overlap, one scratch per loader without).
+  /// Decode buffers across all loaders: each loader decodes inline into
+  /// one scratch of its own, so this equals the loader count.
   uint64_t ring_buffers = 0;
-  /// ring_buffers * block_bytes — the decoded working set the
-  /// memory_budget_bytes knob bounds.
+  /// ring_buffers * block_bytes — the decoded working set.
   uint64_t ring_bytes = 0;
   /// Partitioner bookkeeping at its largest (== report.peak_state_bytes).
+  /// A budget-aware strategy bounds it by
+  /// PartitionContext::memory_budget_bytes.
   uint64_t peak_state_bytes = 0;
-  /// ring_bytes + peak_state_bytes: the peak of the byte ledger the budget
-  /// is checked against.
+  /// ring_bytes + peak_state_bytes: the peak of the pipeline's byte ledger.
   uint64_t peak_ledger_bytes = 0;
   /// Compressed store bytes (EdgeBlockStore::ResidentBytes()), reported for
-  /// context; the store is caller-owned and not part of the budget.
+  /// context; the store is caller-owned and not part of the ledger.
   uint64_t store_resident_bytes = 0;
 };
 
@@ -72,27 +72,11 @@ struct IngestOptions {
   // --- Streaming ingress (the EdgeBlockStore overload; the flat EdgeList
   // --- path ignores these) --------------------------------------------------
 
-  /// Byte budget for the pipeline's decoded working set (ring buffers +
-  /// partitioner state). 0 means unbounded: a fixed double-buffered ring of
-  /// two blocks per loader. Nonzero budgets size the ring depth down (never
-  /// below one buffer per loader — the streaming floor) so the decoded
-  /// resident set stays within budget; IngestMemoryStats reports the exact
-  /// ledger. Results are bit-identical at any budget: the budget changes
-  /// only how far decode runs ahead, never what is decoded or in what order
-  /// it is consumed.
-  uint64_t memory_budget_bytes = 0;
-  /// Run a small decoder crew so block decode overlaps the partition
-  /// kernels (and, for serialized multi-pass strategies, runs ahead of the
-  /// serial consumer). Off: each loader decodes its own blocks inline —
-  /// the baseline the bench_stream_ingest overlap claim compares against.
-  /// No effect on results, only on wall-clock. Ignored when
-  /// exec.num_threads resolves to 1 (inline contract).
-  bool overlap_decode = true;
   /// Build DistributedGraph::edges (the engines need the flat vector).
   /// false keeps the output graph edge-free — ingress-only memory
-  /// experiments (the peak-RSS probe, fig 9.4's budget axis) where the
-  /// whole point is never materializing 8 bytes/edge; finalize, degree
-  /// cache, and the report then stream from the compressed store too.
+  /// experiments (the peak-RSS probe) where the whole point is never
+  /// materializing 8 bytes/edge; finalize, degree cache, and the report
+  /// then stream from the compressed store too.
   bool materialize_edges = true;
   /// When set, the EdgeBlockStore overload writes its exact byte ledger
   /// here. Deliberately NOT part of IngressReport: the report stays
@@ -156,17 +140,16 @@ IngestResult Ingest(const graph::EdgeList& edges, Partitioner& partitioner,
                     sim::Cluster& cluster, const IngestOptions& options = {});
 
 /// Streaming overload: same pipeline, fed from a compressed EdgeBlockStore
-/// instead of a flat edge vector. Loaders consume their contiguous edge
-/// range block by block through a bounded ring of decoded buffers
-/// (double-buffered against the partition kernels when
-/// options.overlap_decode is set), and multi-pass strategies re-stream each
-/// pass from the compressed store — the flat 8-bytes-per-edge input vector
-/// is never resident. Same determinism contract as the EdgeList overload,
-/// extended across representations: with materialize_edges set, the
-/// DistributedGraph, IngressReport, and every per-machine counter are
-/// bit-identical to Ingest()/IngestReference() on the materialized edge
-/// list, at any thread count, block size, ring depth, or budget
-/// (bench_stream_ingest gates this for all 13 strategies).
+/// instead of a flat edge vector. Each loader decodes its contiguous edge
+/// range block by block, inline, into one decode buffer of its own, and
+/// multi-pass strategies re-stream each pass from the compressed store —
+/// the flat 8-bytes-per-edge input vector is never resident. Same
+/// determinism contract as the EdgeList overload, extended across
+/// representations: with materialize_edges set, the DistributedGraph,
+/// IngressReport, and every per-machine counter are bit-identical to
+/// Ingest()/IngestReference() on the materialized edge list, at any thread
+/// count or block size (bench_stream_ingest gates this for all 13
+/// strategies).
 IngestResult Ingest(const graph::EdgeBlockStore& store,
                     Partitioner& partitioner, sim::Cluster& cluster,
                     const IngestOptions& options = {});

@@ -91,10 +91,9 @@ struct PartitionContext {
   /// Ingress memory budget in bytes (0 = unbounded). Strategies whose
   /// StrategyTraits declare memory_budget_aware condition their *results*
   /// on it: SNE sizes its resident expansion chunk from it, HEP derives
-  /// its low/high-degree split threshold from it. Mirrors
-  /// IngestOptions::memory_budget_bytes (which bounds only the decode
-  /// ring and never changes results); IngestWithStrategy copies the
-  /// option in when the context leaves this 0.
+  /// its low/high-degree split threshold from it. The ingress pipeline's
+  /// own decoded working set is fixed at one block per loader, so this is
+  /// the only ingress budget; other strategies ignore it.
   uint64_t memory_budget_bytes = 0;
 };
 

@@ -41,6 +41,22 @@ util::StatusOr<PlacementFile> LoadPlacement(const std::string& path) {
   in >> file.num_partitions >> file.num_machines >> file.num_vertices >>
       file.num_edges;
   if (!in) return util::Status::InvalidArgument("bad counts in " + path);
+  // Check the counts against the file length before sizing anything: each
+  // entry is at least one digit and entries are whitespace-separated, so n
+  // entries need at least 2n - 1 bytes.
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  if (!in || end < here) {
+    return util::Status::InvalidArgument("cannot measure " + path);
+  }
+  const uint64_t max_entries = (static_cast<uint64_t>(end - here) + 1) / 2;
+  if (file.num_edges > max_entries ||
+      file.num_vertices > max_entries - file.num_edges) {
+    return util::Status::InvalidArgument(
+        "placement counts exceed the file length in " + path);
+  }
   file.edge_partition.resize(file.num_edges);
   for (uint64_t i = 0; i < file.num_edges; ++i) {
     int64_t p = -1;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -193,6 +195,65 @@ TEST(EdgeBlockStore, LoadRejectsGarbageAndMissing) {
   std::fclose(f);
   EXPECT_FALSE(EdgeBlockStore::LoadFrom(path).ok());
   std::remove(path.c_str());
+}
+
+/// `bytes` with `value` written host-endian at `offset`.
+template <typename T>
+std::string Patch(std::string bytes, size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+  return bytes;
+}
+
+// Header size fields are checked against the bytes left in the stream
+// before they size an allocation, and block extents may not wrap: each
+// patched file is rejected with InvalidArgument instead of a terabyte
+// request or an out-of-bounds decode.
+TEST(EdgeBlockStore, LoadRejectsOversizedHeaderFields) {
+  EdgeBlockStore store = EdgeBlockStore::FromEdges(
+      RandomEdges(600, 90, 0x0bad), EdgeBlockStore::Options(64));
+  store.set_name("patched");
+  std::ostringstream out;
+  ASSERT_TRUE(store.SerializeTo(out).ok());
+  const std::string valid = out.str();
+  // Layout: magic, name size, name, then num_vertices (u32), block size
+  // (u32), num_edges, fingerprint, block count, word count, block table.
+  const size_t n = store.name().size();
+  const size_t kNameSize = 8;
+  const size_t kBlockSize = 20 + n;
+  const size_t kNumEdges = 24 + n;
+  const size_t kNumBlocks = 40 + n;
+  const size_t kNumWords = 48 + n;
+  const size_t kFirstBitOffset = 56 + n;
+
+  auto load = [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    return EdgeBlockStore::DeserializeFrom(in);
+  };
+  ASSERT_TRUE(load(valid).ok());
+
+  const std::string huge_edges =
+      Patch(Patch(Patch(valid, kBlockSize, uint32_t{1}), kNumEdges,
+                  uint64_t{1} << 40),
+            kNumBlocks, uint64_t{1} << 40);
+  // (2^64 - 1 + 2 - 1) / 2 wraps to 0 blocks when rounded up naively.
+  const std::string wrapped_count =
+      Patch(Patch(Patch(valid, kBlockSize, uint32_t{2}), kNumEdges,
+                  ~uint64_t{0}),
+            kNumBlocks, uint64_t{0});
+  const std::pair<const char*, std::string> cases[] = {
+      {"name size 2^62", Patch(valid, kNameSize, uint64_t{1} << 62)},
+      {"word count 2^40", Patch(valid, kNumWords, uint64_t{1} << 40)},
+      {"2^40 one-edge blocks", huge_edges},
+      {"block count rounding wraps", wrapped_count},
+      {"bit offset wraps past the word array",
+       Patch(valid, kFirstBitOffset, ~uint64_t{0} - 63)},
+  };
+  for (const auto& [label, bytes] : cases) {
+    SCOPED_TRACE(label);
+    const util::StatusOr<EdgeBlockStore> loaded = load(bytes);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EdgeBlockStore, StreamingSymmetrizedMatchesEdgeList) {

@@ -365,6 +365,58 @@ inline void Baseline(Acc& acc, const Plan& plan, uint64_t s) {
 }
 
 // ---------------------------------------------------------------------------
+// no-raw-thread
+// ---------------------------------------------------------------------------
+
+TEST(LintNoRawThread, FlagsThreadCrewsAndAsync) {
+  LintFixture fx;
+  fx.AddFile("src/partition/crew.h", Header(R"(
+class DecodeCrew {
+ public:
+  void Start(int n) {
+    for (int t = 0; t < n; ++t) crew_.emplace_back([] {});
+  }
+ private:
+  std::vector<std::thread> crew_;
+};
+inline int Later() { return std::async(std::launch::async, Work).get(); }
+)"));
+  const auto r = fx.Run();
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_TRUE(HasFinding(r, "no-raw-thread", "crew.h:9")) << r.output;
+  EXPECT_TRUE(HasFinding(r, "no-raw-thread", "crew.h:11")) << r.output;
+}
+
+TEST(LintNoRawThread, AllowsHardwareConcurrencyPoolUsersAndNolint) {
+  LintFixture fx;
+  // Static members of std::thread start nothing.
+  fx.AddFile("src/util/cores.h", Header(R"(
+inline unsigned Cores() { return std::thread::hardware_concurrency(); }
+)"));
+  // Work on pool lanes is the sanctioned shape.
+  fx.AddFile("src/partition/lanes.h", Header(R"(
+inline void Run(util::ThreadPool& pool, uint64_t n) {
+  pool.ParallelFor(n, [&](uint64_t chunk, uint32_t lane) { Work(chunk); });
+}
+)"));
+  // The pool itself owns the workers.
+  fx.AddFile("src/util/thread_pool.h", Header(R"(
+class ThreadPool {
+  std::vector<std::thread> workers_;
+};
+)"));
+  // Outside src/ the rule does not apply, and NOLINT suppresses it.
+  fx.AddFile("tests/threads_test.h", Header(R"(
+inline void Spawn() { std::thread t([] {}); t.join(); }
+)"));
+  fx.AddFile("src/sim/justified.h", Header(R"(
+inline void Spawn() { std::thread t(Work); t.join(); }  // NOLINT(no-raw-thread)
+)"));
+  const auto r = fx.Run();
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+// ---------------------------------------------------------------------------
 // Serving-layer shape: the bounded-queue scheduler pattern used by
 // src/serving/ — admission state guarded by an annotated mutex, latencies
 // in integer *simulated* microseconds — must pass every rule untouched,

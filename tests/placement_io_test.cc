@@ -116,6 +116,24 @@ TEST_F(PlacementIoTest, RejectsOutOfRangePartition) {
   std::remove(path.c_str());
 }
 
+// Header counts are checked against the file length before anything is
+// sized: 2^40 edges cannot fit in a file of a few bytes.
+TEST_F(PlacementIoTest, HeaderCountsBeyondFileLengthAreInvalidArgument) {
+  std::string path = TempPath("gdp_placement_huge_counts.txt");
+  for (const char* body : {"gdp-placement v1\n1 1 1 1099511627776\n0\n0\n",
+                           "gdp-placement v1\n1 1 4000000000 0\n0\n"}) {
+    SCOPED_TRACE(body);
+    FILE* f = fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fputs(body, f);
+    fclose(f);
+    auto loaded = LoadPlacement(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(PlacementIoTest, MissingFileIsNotFound) {
   auto loaded = LoadPlacement("/nonexistent/placement.txt");
   EXPECT_FALSE(loaded.ok());

@@ -1,9 +1,9 @@
 // The streaming-ingress pipeline over the compressed EdgeBlockStore: the
 // block path must be bit-identical to the flat path and the serial
 // IngestReference oracle — DistributedGraph, IngressReport, per-machine
-// cluster accounting — at any thread count, block size, ring depth, memory
-// budget, or overlap setting, for every strategy. Plus the byte ledger's
-// conservation rules and the materialize_edges=false mode.
+// cluster accounting — at any thread count or block size, for every
+// strategy. Plus the byte ledger's conservation rules and the
+// materialize_edges=false mode.
 
 #include <gtest/gtest.h>
 
@@ -185,9 +185,8 @@ INSTANTIATE_TEST_SUITE_P(
       }
     });
 
-// Block size, budget (hence ring depth), and overlap change only wall-clock
-// behavior, never results: every combination is bit-identical.
-TEST(StreamIngestTest, InvariantAcrossBlockSizesBudgetsAndOverlap) {
+// Block size changes only wall-clock behavior, never results.
+TEST(StreamIngestTest, InvariantAcrossBlockSizes) {
   graph::EdgeList edges = TestGraph();
   IngestOptions options;
   options.num_loaders = kLoaders;
@@ -195,64 +194,42 @@ TEST(StreamIngestTest, InvariantAcrossBlockSizesBudgetsAndOverlap) {
   IngestRun baseline = RunIngest(edges, StrategyKind::kHybridGinger, options,
                                  Path::kBlock, /*block_size=*/4096);
   for (uint32_t block_size : {64u, 1000u}) {
-    for (uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{1} << 30}) {
-      for (bool overlap : {true, false}) {
-        options.memory_budget_bytes = budget;
-        options.overlap_decode = overlap;
-        IngestRun run = RunIngest(edges, StrategyKind::kHybridGinger, options,
-                                  Path::kBlock, block_size);
-        ExpectRunsIdentical(
-            baseline, run,
-            "block_size=" + std::to_string(block_size) + " budget=" +
-                std::to_string(budget) + " overlap=" + std::to_string(overlap));
-      }
-    }
+    IngestRun run = RunIngest(edges, StrategyKind::kHybridGinger, options,
+                              Path::kBlock, block_size);
+    ExpectRunsIdentical(baseline, run,
+                        "block_size=" + std::to_string(block_size));
   }
 }
 
-// The byte ledger: ring_bytes is exactly ring_buffers * block_bytes; the
-// unbudgeted ring is double-buffered (two slots per loader with overlap); a
-// budget shrinks the ring to fit, but never below one buffer per loader.
+// The byte ledger: each loader decodes into one buffer of its own, at any
+// thread count; ring_bytes is exactly ring_buffers * block_bytes and the
+// peak ledger adds the partitioner's peak state.
 TEST(StreamIngestTest, MemoryLedgerConservation) {
   graph::EdgeList edges = TestGraph();
   const graph::EdgeBlockStore store = graph::EdgeBlockStore::FromEdges(
       edges, graph::EdgeBlockStore::Options(512));
   const uint64_t block_bytes = 512 * sizeof(graph::Edge);
 
-  auto run_with_budget = [&](uint64_t budget) {
+  for (uint32_t threads : {1u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     PartitionContext context = MakeContext(edges.num_vertices());
     std::unique_ptr<Partitioner> partitioner =
         MakePartitioner(StrategyKind::kHdrf, context);
     sim::Cluster cluster(kMachines, sim::CostModel{});
     IngestOptions options;
     options.num_loaders = kLoaders;
-    options.exec.num_threads = 8;
-    options.memory_budget_bytes = budget;
+    options.exec.num_threads = threads;
     IngestMemoryStats stats;
     options.memory_stats = &stats;
     IngestResult result = Ingest(store, *partitioner, cluster, options);
+    EXPECT_EQ(stats.ring_buffers, uint64_t{kLoaders});
     EXPECT_EQ(stats.block_bytes, block_bytes);
     EXPECT_EQ(stats.ring_bytes, stats.ring_buffers * stats.block_bytes);
     EXPECT_EQ(stats.peak_state_bytes, result.report.peak_state_bytes);
     EXPECT_EQ(stats.peak_ledger_bytes,
               stats.ring_bytes + stats.peak_state_bytes);
     EXPECT_EQ(stats.store_resident_bytes, store.ResidentBytes());
-    return stats;
-  };
-
-  const IngestMemoryStats unbudgeted = run_with_budget(0);
-  EXPECT_EQ(unbudgeted.ring_buffers, uint64_t{2} * kLoaders);
-
-  // A budget of 4 buffers per loader caps look-ahead at depth 4.
-  const IngestMemoryStats budgeted =
-      run_with_budget(uint64_t{4} * kLoaders * block_bytes);
-  EXPECT_EQ(budgeted.ring_buffers, uint64_t{4} * kLoaders);
-  EXPECT_LE(budgeted.ring_bytes, uint64_t{4} * kLoaders * block_bytes);
-
-  // An infeasibly small budget floors at the streaming minimum: one decoded
-  // buffer per loader.
-  const IngestMemoryStats floored = run_with_budget(1);
-  EXPECT_EQ(floored.ring_buffers, uint64_t{1} * kLoaders);
+  }
 }
 
 // materialize_edges=false: the output graph carries no flat edge vector,

@@ -6,10 +6,11 @@
 #   1. plain build (RelWithDebInfo, -Wall -Wextra -Werror) + full ctest
 #      suite, which includes the gdp_lint source linter (and its
 #      determinism-contract rules: no-wall-clock, no-float-accumulate,
-#      no-unordered-iteration, mutex-annotated, no-per-edge-accounting),
-#      then the peak-RSS probe (tools/rss_probe.cc): a budgeted,
-#      unmaterialized block-streamed ingest whose host RSS growth must stay
-#      within the ingest byte ledger's prediction plus slack;
+#      no-unordered-iteration, mutex-annotated, no-per-edge-accounting,
+#      no-raw-thread), then the peak-RSS probe (tools/rss_probe.cc): an
+#      unmaterialized block-streamed ingest that must hold one decode buffer
+#      per loader and whose host RSS growth must stay within the ingest
+#      byte ledger's prediction plus slack;
 #   2. native-arch engine bench: rebuilds bench_engine_scaling with
 #      -DGDP_NATIVE_ARCH=ON (-march=native on bench/ targets only) and
 #      re-runs its claims (parallel engine bit-identical to the serial
@@ -108,12 +109,12 @@ else
   fail "plain"
 fi
 
-# Leg 1b: peak-RSS probe for the bounded streaming ingress. Runs the
-# budgeted, unmaterialized block-streamed ingest and asserts the process's
-# RSS growth stays within the byte ledger's prediction plus slack
-# (tools/rss_probe.cc). Uses leg 1's build tree.
+# Leg 1b: peak-RSS probe for the bounded streaming ingress. Runs an
+# unmaterialized block-streamed ingest and asserts one decode buffer per
+# loader and that the process's RSS growth stays within the byte ledger's
+# prediction plus slack (tools/rss_probe.cc). Uses leg 1's build tree.
 rss_leg() {
-  echo "=== [rss-probe] budgeted streaming ingest vs peak RSS ==="
+  echo "=== [rss-probe] streaming ingest vs peak RSS ==="
   "$ROOT/build-check/tools/rss_probe"
 }
 if rss_leg; then

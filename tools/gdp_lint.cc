@@ -69,6 +69,13 @@
 //                  integer ticks with one call per distinct machine,
 //                  bit-identically (integer sums are order-free).
 //                  No per-edge kernel or sanctioned NOLINT remains.
+//   no-raw-thread  src/ except src/util/thread_pool.{h,cc}: no
+//                  std::thread / std::jthread objects and no std::async(
+//                  calls. util::ThreadPool is the one place that starts host
+//                  threads; a private crew beside it competes with the pool
+//                  lanes for the same cores and brings its own hand-off
+//                  protocol to get right. Static members such as
+//                  std::thread::hardware_concurrency() stay allowed.
 //
 // Comment and string contents — including raw string literals R"(...)" —
 // are stripped before matching, so prose and literals never trigger
@@ -473,6 +480,28 @@ void CheckPerEdgeAccounting(const FileText& f,
   }
 }
 
+/// no-raw-thread: util::ThreadPool is the only code in src/ that starts
+/// host threads. A `std::thread` or `std::jthread` not followed by `::`
+/// names a thread object (a member, a local, a container element type);
+/// `std::async(` launches one implicitly.
+void CheckRawThread(const FileText& f, std::vector<Finding>& findings) {
+  if (!InDir(f, "src") || f.rel == "src/util/thread_pool.h" ||
+      f.rel == "src/util/thread_pool.cc") {
+    return;
+  }
+  static const std::regex kThread(
+      R"(\bstd::j?thread\b(?!\s*::)|\bstd::async\s*\()");
+  for (size_t i = 0; i < f.stripped.size(); ++i) {
+    if (HasNolint(f.raw[i])) continue;
+    if (std::regex_search(f.stripped[i], kThread)) {
+      findings.push_back(
+          {f.rel, i + 1, "no-raw-thread",
+           "raw host thread outside util::ThreadPool; run the work on a "
+           "pool lane (util/thread_pool.h) instead of a private crew"});
+    }
+  }
+}
+
 void CheckLines(const FileText& f, const std::set<std::string>& status_fns,
                 std::vector<Finding>& findings) {
   static const std::regex kRand(R"(\b(?:std::)?s?rand\s*\()");
@@ -601,6 +630,7 @@ int main(int argc, char** argv) {
     CheckUnorderedIteration(f, findings);
     CheckMutexAnnotated(f, findings);
     CheckPerEdgeAccounting(f, findings);
+    CheckRawThread(f, findings);
     CheckLines(f, status_fns, findings);
   }
 

@@ -1,11 +1,11 @@
 // rss_probe — host-memory gate for the bounded streaming ingress
-// (DESIGN.md §14). Builds a compressed EdgeBlockStore, then runs a
-// budgeted, unmaterialized block-streamed ingest and checks that the
-// process's peak-RSS growth during ingest stays within what the exact byte
-// ledger (IngestMemoryStats) predicts, plus an allocator/result slack.
-// check.sh runs this as its peak-RSS leg; exits non-zero when the measured
-// growth exceeds the ledger's bound, i.e. when the pipeline resident set
-// escapes the budget accounting.
+// (DESIGN.md §14). Builds a compressed EdgeBlockStore, then runs an
+// unmaterialized block-streamed ingest and checks that each loader held one
+// decode buffer and that the process's peak-RSS growth during ingest stays
+// within what the exact byte ledger (IngestMemoryStats) predicts, plus an
+// allocator/result slack. check.sh runs this as its peak-RSS leg; exits
+// non-zero when either check fails, i.e. when the pipeline resident set
+// escapes the ledger.
 //
 // This is a host-resource probe, not a simulation artifact: wall-clock and
 // RSS here never feed simulated results (which stay bit-identical across
@@ -37,7 +37,6 @@ int main() {
 
   constexpr uint32_t kMachines = 9;
   constexpr uint32_t kLoaders = 16;
-  constexpr uint64_t kBudgetBytes = 4ull << 20;  // 4 MiB decode ring budget.
 
   // Build the compressed store in a scope so the flat generator output is
   // freed (and counted into the baseline peak) before ingest begins.
@@ -61,7 +60,6 @@ int main() {
 
   partition::IngestOptions options;
   options.num_loaders = kLoaders;
-  options.memory_budget_bytes = kBudgetBytes;
   options.materialize_edges = false;
   partition::IngestMemoryStats stats;
   options.memory_stats = &stats;
@@ -70,11 +68,11 @@ int main() {
 
   const uint64_t after_peak = PeakRssBytes();
   const uint64_t growth = after_peak - baseline_peak;
-  // The ledger's resident prediction: the decode ring plus peak partitioner
-  // state. The replica/master tables in the result DistributedGraph and
-  // allocator fragmentation ride on top — a 2x factor plus a fixed slack
-  // bounds both while still catching a pipeline that decodes the whole
-  // stream resident.
+  // The ledger's resident prediction: the decode buffers plus peak
+  // partitioner state. The replica/master tables in the result
+  // DistributedGraph and allocator fragmentation ride on top — a 2x factor
+  // plus a fixed slack bounds both while still catching a pipeline that
+  // decodes the whole stream resident.
   const uint64_t slack = 32ull << 20;
   const uint64_t bound = 2 * stats.peak_ledger_bytes + slack;
 
@@ -83,10 +81,9 @@ int main() {
               static_cast<unsigned long long>(store.num_vertices()));
   std::printf("store resident:      %10llu bytes\n",
               static_cast<unsigned long long>(store.ResidentBytes()));
-  std::printf("decode ring:         %10llu bytes (%llu buffers, budget %llu)\n",
+  std::printf("decode buffers:      %10llu bytes (%llu buffers)\n",
               static_cast<unsigned long long>(stats.ring_bytes),
-              static_cast<unsigned long long>(stats.ring_buffers),
-              static_cast<unsigned long long>(kBudgetBytes));
+              static_cast<unsigned long long>(stats.ring_buffers));
   std::printf("peak ledger:         %10llu bytes\n",
               static_cast<unsigned long long>(stats.peak_ledger_bytes));
   std::printf("baseline peak RSS:   %10llu bytes\n",
@@ -99,15 +96,14 @@ int main() {
   std::printf("replication factor:  %.3f\n",
               result.report.replication_factor);
 
-  if (stats.ring_bytes > kBudgetBytes &&
-      stats.ring_buffers > static_cast<uint64_t>(kLoaders)) {
-    std::printf("FAIL: decode ring exceeds the memory budget\n");
+  if (stats.ring_buffers != kLoaders) {
+    std::printf("FAIL: expected one decode buffer per loader\n");
     return 1;
   }
   if (growth > bound) {
     std::printf("FAIL: ingest RSS growth exceeds the ledger bound\n");
     return 1;
   }
-  std::printf("PASS: budgeted ingest stayed within the ledger bound\n");
+  std::printf("PASS: streaming ingest stayed within the ledger bound\n");
   return 0;
 }
