@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "engine/engine_obs.h"
 #include "engine/gas_engine.h"
 
 namespace gdp::engine {
@@ -12,6 +13,10 @@ AsyncColoringResult RunAsyncColoring(const partition::DistributedGraph& dg,
   const graph::VertexId n = dg.num_vertices;
   const sim::ObjectSizes sizes;
   internal::MachineMasks masks = internal::MachineMasks::Build(dg);
+
+  // Observability sinks: one span per round, as in RunAsyncGasEngine.
+  SuperstepObserver observer(options.exec, cluster, "AsyncColoring");
+  const bool observed = observer.enabled();
 
   // Symmetric adjacency in CSR form.
   std::vector<uint64_t> offsets(static_cast<size_t>(n) + 1, 0);
@@ -59,6 +64,9 @@ AsyncColoringResult RunAsyncColoring(const partition::DistributedGraph& dg,
       result.stats.converged = true;
       break;
     }
+    observer.BeginSuperstep(round);
+    SuperstepBreakdown breakdown;
+    breakdown.frontier = active_count;
     std::fill(next_active.begin(), next_active.end(), false);
     for (graph::VertexId v = 0; v < n; ++v) {
       if (!active[v]) continue;
@@ -74,10 +82,17 @@ AsyncColoringResult RunAsyncColoring(const partition::DistributedGraph& dg,
         if (remote) {
           // Pulling a remote neighbor's cached mirror value.
           cluster.machine(home).AddTicks(sim::kSerializeTicks);
+          if (observed) breakdown.gather_ticks += sim::kSerializeTicks;
         }
       }
       cluster.machine(home).AddTicks(sim::kTicksPerWorkUnit *
                                      (1 + offsets[v + 1] - offsets[v]));
+      if (observed) {
+        // One unit per neighbor read, one for the vertex itself.
+        breakdown.gather_ticks +=
+            sim::kTicksPerWorkUnit * (offsets[v + 1] - offsets[v]);
+        breakdown.apply_ticks += sim::kTicksPerWorkUnit;
+      }
       if (!conflict) continue;
       std::sort(used.begin(), used.end());
       uint32_t candidate = 0;
@@ -89,6 +104,7 @@ AsyncColoringResult RunAsyncColoring(const partition::DistributedGraph& dg,
         }
       }
       color[v] = candidate;
+      if (observed) ++breakdown.signaled;
       // Push the new color to every mirror machine and wake neighbors.
       uint64_t mask = masks.replicas[v] & ~(1ULL << home);
       while (mask != 0) {
@@ -97,6 +113,7 @@ AsyncColoringResult RunAsyncColoring(const partition::DistributedGraph& dg,
         mask &= mask - 1;
         cluster.machine(home).ChargePhaseBytes(sizes.sync_message);
         cluster.machine(m).ReceiveBytes(sizes.sync_message);
+        if (observed) breakdown.apply_bytes += sizes.sync_message;
       }
       for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
         next_active[adjacency[i]] = true;
@@ -105,9 +122,11 @@ AsyncColoringResult RunAsyncColoring(const partition::DistributedGraph& dg,
     committed = color;
     cluster.EndPhaseAsync();
     result.stats.cumulative_seconds.push_back(cluster.now_seconds() - start);
+    observer.EndSuperstep(breakdown);
     active.swap(next_active);
   }
 
+  observer.Finish();
   result.stats.iterations = round;
   result.stats.compute_seconds = cluster.now_seconds() - start;
   result.stats.network_bytes = cluster.TotalBytesSent() - bytes_start;

@@ -23,7 +23,9 @@ struct AsyncColoringResult {
 /// rounds, which is why coloring deviates from the replication-factor
 /// trend lines in Figs 5.3-5.5. (The real async engine's occasional hangs
 /// and failures, noted in §5.4.1, are nondeterministic scheduler artifacts
-/// we intentionally do not reproduce; see DESIGN.md.)
+/// we intentionally do not reproduce; see DESIGN.md.) options.exec's
+/// sinks see an "AsyncColoring" run span and one `superstep N` span per
+/// round, like RunAsyncGasEngine's.
 AsyncColoringResult RunAsyncColoring(const partition::DistributedGraph& dg,
                                      sim::Cluster& cluster,
                                      const RunOptions& options = {});

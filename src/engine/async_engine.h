@@ -46,9 +46,9 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
   const graph::VertexId n = dg.num_vertices;
   const sim::ObjectSizes sizes;
 
-  // Observability sinks; the observer owns the old per-round timeline
-  // sample. One span per async round (the engine has no minor-step
-  // barriers, so gather/apply/scatter totals are per-round sums).
+  // Observability sinks: one span per async round (the engine has no
+  // minor-step barriers, so gather/apply/scatter totals are per-round
+  // sums).
   const obs::ExecContext& exec = options.exec;
   SuperstepObserver observer(exec, cluster, "AsyncGAS");
   const bool observed = observer.enabled();

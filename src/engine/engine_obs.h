@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/cluster.h"
-#include "sim/timeline.h"
 
 namespace gdp::engine {
 
@@ -40,12 +39,11 @@ struct SuperstepBreakdown {
   uint64_t graphx_blocks = 0;
 };
 
-/// The one observability hook shared by all three engines. It owns the
-/// per-superstep block the engines used to copy-paste
-/// (`if (options.timeline != nullptr) options.timeline->Sample(cluster)`)
-/// and extends it with the ExecContext sinks: a run-level trace span, one
-/// span per superstep carrying the SuperstepBreakdown as deterministic
-/// args, a superstep counter, and a frontier-size histogram.
+/// The one observability hook shared by every engine loop: a run-level
+/// trace span, one span per superstep carrying the SuperstepBreakdown and
+/// the cluster's total simulated memory (`memory_bytes`, the paper's psutil
+/// samples behind Fig 6.3) as deterministic args, a superstep counter, and
+/// a frontier-size histogram.
 ///
 /// Null-context cost: when no observer is attached every method is a
 /// branch on a nullptr; enabled() lets engines skip even the breakdown
@@ -87,11 +85,9 @@ class SuperstepObserver {
     }
   }
 
-  /// Closes the superstep: attaches the breakdown args, bumps the metrics,
-  /// samples the timeline (the deduped per-superstep block), and ends the
-  /// span at the post-barrier simulated clock.
+  /// Closes the superstep: attaches the breakdown and memory args, bumps
+  /// the metrics, and ends the span at the post-barrier simulated clock.
   void EndSuperstep(const SuperstepBreakdown& b) {
-    if (exec_.timeline != nullptr) exec_.timeline->Sample(cluster_);
     if (supersteps_ != nullptr) supersteps_->Increment();
     if (frontier_ != nullptr) frontier_->Observe(b.frontier);
     if (span_open_) {
@@ -108,6 +104,8 @@ class SuperstepObserver {
                 static_cast<int64_t>(b.scatter_ticks));
       trace.Arg(span_id_, "scatter_bytes",
                 static_cast<int64_t>(b.scatter_bytes));
+      trace.Arg(span_id_, "memory_bytes",
+                static_cast<int64_t>(cluster_.TotalMemoryBytes()));
       if (b.graphx_blocks != 0) {
         trace.Arg(span_id_, "graphx_blocks",
                   static_cast<int64_t>(b.graphx_blocks));

@@ -123,8 +123,8 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   }
 
   // Resolved execution context: thread count + observability sinks. The
-  // observer owns the per-superstep timeline sample and span; when no sink
-  // is attached (`!observed`) every instrumentation site below is skipped.
+  // observer owns the per-superstep span; when no sink is attached
+  // (`!observed`) every instrumentation site below is skipped.
   const obs::ExecContext& exec = options.exec;
   SuperstepObserver observer(exec, cluster, EngineKindName(kind));
   const bool observed = observer.enabled();

@@ -94,7 +94,7 @@ size_t PlanCache::num_plans() const {
 }
 
 obs::CacheStats PlanCache::stats() const {
-  return obs::CacheStats{hits_->Value(), misses_->Value(), 0};
+  return obs::CacheStats{hits_->Value(), misses_->Value()};
 }
 
 }  // namespace gdp::engine

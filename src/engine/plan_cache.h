@@ -70,7 +70,7 @@ class PlanCache {
 
   /// Lookup accounting: hits (plan already built) vs misses (this call
   /// created the slot and built the plan). Backed by the cache's own
-  /// metrics registry; bypasses is always 0 for plan lookups.
+  /// metrics registry.
   obs::CacheStats stats() const;
 
   /// The cache's own metrics registry (plan_cache.hits/misses/evictions/

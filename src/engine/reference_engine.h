@@ -42,7 +42,7 @@ GasRunResult<App> RunGasEngineReference(EngineKind kind,
   const double work_mul = options.work_multiplier;
 
   // Observability only *reads* simulated state — the oracle's charges are
-  // untouched. The observer also owns the old per-superstep timeline block.
+  // untouched.
   const obs::ExecContext& exec = options.exec;
   SuperstepObserver observer(exec, cluster, EngineKindName(kind));
   const bool observed = observer.enabled();

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/exec_context.h"
-#include "sim/timeline.h"
 
 namespace gdp::engine {
 
@@ -20,12 +19,10 @@ struct RunOptions {
   /// once per machine per phase, to its tick total (Cluster::EndPhase).
   double work_multiplier = 1.0;
   /// Execution context: host thread count plus the observability sinks
-  /// (timeline, metrics registry, trace recorder). exec.num_threads is the
-  /// real execution lane count for the parallel engine (0 = hardware
-  /// default); simulated costs are bit-identical at every setting, and 1
-  /// reproduces the original serial engine's execution exactly. When
-  /// exec.timeline is set, the engine records a resource sample after
-  /// every superstep (the paper's 1 Hz psutil monitors, Fig 6.3).
+  /// (metrics registry, trace recorder). exec.num_threads is the real
+  /// execution lane count for the parallel engine (0 = hardware default);
+  /// simulated costs are bit-identical at every setting, and 1 reproduces
+  /// the original serial engine's execution exactly.
   obs::ExecContext exec;
 };
 

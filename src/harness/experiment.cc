@@ -67,14 +67,6 @@ partition::PartitionContext PartitionContextFor(const graph::EdgeList& edges,
   return context;
 }
 
-obs::ExecContext ExecFor(const ExperimentSpec& spec, sim::Timeline* timeline) {
-  obs::ExecContext exec = spec.exec;
-  // The cell's timeline is result-owned and selected via record_timeline;
-  // it always wins over whatever exec.timeline held.
-  exec.timeline = timeline;
-  return exec;
-}
-
 partition::IngestOptions IngestOptionsFor(const ExperimentSpec& spec,
                                           const obs::ExecContext& exec) {
   partition::IngestOptions options;
@@ -133,39 +125,29 @@ void FinalizeClusterMetrics(const sim::Cluster& cluster,
 
 namespace {
 
-/// Runs one GAS application, on a cached plan when `plans` is provided and
-/// on a freshly built one otherwise. The two paths are bit-identical: a
-/// plan is a pure function of (dg, directions, graphx flag), and the
-/// direction pair is pinned by the App type.
+/// Runs one GAS application on the cache's plan for its direction pair.
 template <typename App>
 engine::GasRunResult<App> RunGas(const ExperimentSpec& spec,
-                                 const partition::DistributedGraph& dg,
-                                 engine::PlanCache* plans,
+                                 engine::PlanCache& plans,
                                  sim::Cluster& cluster, App app,
                                  const engine::RunOptions& options) {
   const bool graphx = spec.engine == engine::EngineKind::kGraphXPregel;
-  if (plans != nullptr) {
-    const std::shared_ptr<const engine::ExecutionPlan> plan =
-        plans->Get(App::kGatherDir, App::kScatterDir, graphx);
-    return engine::RunGasEngine(spec.engine, *plan, cluster, std::move(app),
-                                options);
-  }
-  const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
-      dg, App::kGatherDir, App::kScatterDir, graphx);
-  return engine::RunGasEngine(spec.engine, plan, cluster, std::move(app),
+  const std::shared_ptr<const engine::ExecutionPlan> plan =
+      plans.Get(App::kGatherDir, App::kScatterDir, graphx);
+  return engine::RunGasEngine(spec.engine, *plan, cluster, std::move(app),
                               options);
 }
 
 }  // namespace
 
-void RunApp(const ExperimentSpec& spec,
-            const partition::DistributedGraph& dg, engine::PlanCache* plans,
+void RunApp(const ExperimentSpec& spec, engine::PlanCache& plans,
             sim::Cluster& cluster, const engine::RunOptions& run_options,
             ExperimentResult* out) {
+  const partition::DistributedGraph& dg = plans.dg();
   const bool graphx = spec.engine == engine::EngineKind::kGraphXPregel;
   switch (spec.app) {
     case AppKind::kPageRankFixed: {
-      auto r = RunGas(spec, dg, plans, cluster, apps::PageRankFixed(),
+      auto r = RunGas(spec, plans, cluster, apps::PageRankFixed(),
                       run_options);
       out->compute = r.stats;
       break;
@@ -173,7 +155,7 @@ void RunApp(const ExperimentSpec& spec,
     case AppKind::kPageRankConvergent: {
       engine::RunOptions opts = run_options;
       opts.max_iterations = std::max(opts.max_iterations, 500u);
-      auto r = RunGas(spec, dg, plans, cluster,
+      auto r = RunGas(spec, plans, cluster,
                       apps::PageRankConvergent(spec.pagerank_tolerance), opts);
       out->compute = r.stats;
       break;
@@ -181,7 +163,7 @@ void RunApp(const ExperimentSpec& spec,
     case AppKind::kWcc: {
       engine::RunOptions opts = run_options;
       opts.max_iterations = std::max(opts.max_iterations, 1000u);
-      auto r = RunGas(spec, dg, plans, cluster, apps::WccApp{}, opts);
+      auto r = RunGas(spec, plans, cluster, apps::WccApp{}, opts);
       out->compute = r.stats;
       break;
     }
@@ -190,7 +172,7 @@ void RunApp(const ExperimentSpec& spec,
       opts.max_iterations = std::max(opts.max_iterations, 2000u);
       apps::SsspApp app;
       app.source = spec.sssp_source;
-      auto r = RunGas(spec, dg, plans, cluster, app, opts);
+      auto r = RunGas(spec, plans, cluster, app, opts);
       out->compute = r.stats;
       break;
     }
@@ -199,27 +181,18 @@ void RunApp(const ExperimentSpec& spec,
       opts.max_iterations = std::max(opts.max_iterations, 2000u);
       apps::DirectedSsspApp app;
       app.source = spec.sssp_source;
-      auto r = RunGas(spec, dg, plans, cluster, app, opts);
+      auto r = RunGas(spec, plans, cluster, app, opts);
       out->compute = r.stats;
       break;
     }
     case AppKind::kKCore: {
       engine::RunOptions opts = run_options;
       opts.max_iterations = std::max(opts.max_iterations, 1000u);
-      apps::KCoreResult r = [&] {
-        if (plans != nullptr) {
-          const std::shared_ptr<const engine::ExecutionPlan> plan =
-              plans->Get(apps::KCoreApp::kGatherDir,
-                         apps::KCoreApp::kScatterDir, graphx);
-          return apps::KCoreDecompose(spec.engine, *plan, cluster,
-                                      spec.kcore_kmin, spec.kcore_kmax, opts);
-        }
-        const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
-            dg, apps::KCoreApp::kGatherDir, apps::KCoreApp::kScatterDir,
-            graphx);
-        return apps::KCoreDecompose(spec.engine, plan, cluster,
-                                    spec.kcore_kmin, spec.kcore_kmax, opts);
-      }();
+      const std::shared_ptr<const engine::ExecutionPlan> plan = plans.Get(
+          apps::KCoreApp::kGatherDir, apps::KCoreApp::kScatterDir, graphx);
+      apps::KCoreResult r =
+          apps::KCoreDecompose(spec.engine, *plan, cluster, spec.kcore_kmin,
+                               spec.kcore_kmax, opts);
       out->compute = r.stats;
       break;
     }
@@ -227,7 +200,7 @@ void RunApp(const ExperimentSpec& spec,
       engine::RunOptions opts = run_options;
       opts.max_iterations = std::max(opts.max_iterations, 1000u);
       if (graphx) {
-        auto r = RunGas(spec, dg, plans, cluster, apps::ColoringApp{}, opts);
+        auto r = RunGas(spec, plans, cluster, apps::ColoringApp{}, opts);
         out->compute = r.stats;
       } else {
         // PowerGraph/PowerLyra run Simple Coloring on the async engine
@@ -239,26 +212,18 @@ void RunApp(const ExperimentSpec& spec,
       break;
     }
     case AppKind::kTriangles: {
-      apps::TriangleCountResult r = [&] {
-        if (plans != nullptr) {
-          const std::shared_ptr<const engine::ExecutionPlan> plan =
-              plans->Get(apps::NeighborListApp::kGatherDir,
-                         apps::NeighborListApp::kScatterDir, graphx);
-          return apps::CountTriangles(spec.engine, *plan, cluster,
-                                      run_options);
-        }
-        const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
-            dg, apps::NeighborListApp::kGatherDir,
-            apps::NeighborListApp::kScatterDir, graphx);
-        return apps::CountTriangles(spec.engine, plan, cluster, run_options);
-      }();
+      const std::shared_ptr<const engine::ExecutionPlan> plan =
+          plans.Get(apps::NeighborListApp::kGatherDir,
+                    apps::NeighborListApp::kScatterDir, graphx);
+      apps::TriangleCountResult r =
+          apps::CountTriangles(spec.engine, *plan, cluster, run_options);
       out->compute = r.stats;
       break;
     }
     case AppKind::kLabelPropagation: {
       engine::RunOptions opts = run_options;
       opts.max_iterations = std::min(opts.max_iterations, 50u);  // may cycle
-      auto r = RunGas(spec, dg, plans, cluster, apps::LabelPropagationApp{},
+      auto r = RunGas(spec, plans, cluster, apps::LabelPropagationApp{},
                       opts);
       out->compute = r.stats;
       break;
@@ -271,7 +236,7 @@ void RunApp(const ExperimentSpec& spec,
         app.sources.push_back(
             (spec.sssp_source + i * 97) % dg.num_vertices);
       }
-      auto r = RunGas(spec, dg, plans, cluster, app, opts);
+      auto r = RunGas(spec, plans, cluster, app, opts);
       out->compute = r.stats;
       break;
     }
@@ -289,19 +254,17 @@ ExperimentResult RunCell(const graph::EdgeList& edges,
   GDP_CHECK_GT(spec.num_machines, 0u);
   sim::Cluster cluster(spec.num_machines, sim::CostModel{});
   ExperimentResult result;
-  sim::Timeline* timeline = spec.record_timeline ? &result.timeline : nullptr;
-  const obs::ExecContext exec = internal::ExecFor(spec, timeline);
 
   partition::IngestResult ingest = partition::IngestWithStrategy(
       edges, spec.strategy, internal::PartitionContextFor(edges, spec),
-      cluster, internal::IngestOptionsFor(spec, exec));
+      cluster, internal::IngestOptionsFor(spec, spec.exec));
   GDP_DCHECK_OK(partition::ValidateDistributedGraph(ingest.graph));
   internal::PopulateIngressMetrics(ingest.report, &result);
 
   if (!ingress_only) {
-    internal::RunApp(spec, ingest.graph, /*plans=*/nullptr, cluster,
-                     internal::RunOptionsFor(spec, exec), &result);
-    if (timeline != nullptr) timeline->Mark(cluster, "compute-end");
+    engine::PlanCache plans(ingest.graph);
+    internal::RunApp(spec, plans, cluster,
+                     internal::RunOptionsFor(spec, spec.exec), &result);
   }
 
   internal::FinalizeClusterMetrics(cluster, &result);

@@ -10,7 +10,6 @@
 #include "graph/edge_list.h"
 #include "obs/exec_context.h"
 #include "partition/ingest.h"
-#include "sim/timeline.h"
 
 namespace gdp::harness {
 
@@ -68,19 +67,15 @@ struct ExperimentSpec {
   /// strategies (SNE, HEP) bound their resident state by it, and it joins
   /// their PartitionCache key. Other strategies ignore it.
   uint64_t ingress_memory_budget_bytes = 0;
-  /// Capture a resource timeline (Fig 6.3). The timeline lives in the
-  /// ExperimentResult, so it stays a flag here rather than moving into
-  /// `exec` (which carries caller-owned sinks).
-  bool record_timeline = false;
   /// Execution context for this cell: host threads plus caller-owned
   /// observability sinks (metrics registry, trace recorder, trace track).
   /// exec.num_threads drives this cell's engine and ingress internals
   /// (0 = hardware default); results are bit-identical at any setting (the
   /// engine and ingest determinism contracts), and the grid runner pins it
-  /// to 1 for cells it already runs concurrently. exec.timeline is ignored
-  /// here — use record_timeline, which samples into the result's own
-  /// timeline. Attaching sinks never changes simulated results (the
-  /// observability determinism contract).
+  /// to 1 for cells it already runs concurrently. Attaching sinks never
+  /// changes simulated results (the observability determinism contract);
+  /// a trace's ingress and superstep spans carry `memory_bytes` args, the
+  /// samples behind Fig 6.3.
   obs::ExecContext exec;
 };
 
@@ -96,7 +91,6 @@ struct ExperimentResult {
   /// Per-machine CPU utilization over the whole run, in [0, 1].
   std::vector<double> cpu_utilizations;
   double edge_balance_ratio = 0;
-  sim::Timeline timeline;
 };
 
 /// Runs one experiment cell end to end (ingress + compute) on a fresh

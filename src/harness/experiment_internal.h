@@ -16,17 +16,12 @@
 #include "partition/ingest.h"
 #include "partition/partitioner.h"
 #include "sim/cluster.h"
-#include "sim/timeline.h"
 
 namespace gdp::harness::internal {
 
 /// Partitioner configuration for one spec (loader resolution included).
 partition::PartitionContext PartitionContextFor(const graph::EdgeList& edges,
                                                 const ExperimentSpec& spec);
-
-/// The resolved execution context for one cell: spec.exec with `timeline`
-/// (the result's timeline when spec.record_timeline, else null) attached.
-obs::ExecContext ExecFor(const ExperimentSpec& spec, sim::Timeline* timeline);
 
 /// Ingest options for one spec: master policy per engine, derived seed,
 /// and the resolved execution context (threads + observability sinks).
@@ -47,13 +42,14 @@ void PopulateIngressMetrics(const partition::IngressReport& report,
 void FinalizeClusterMetrics(const sim::Cluster& cluster,
                             ExperimentResult* out);
 
-/// Dispatches the spec's application onto the engines and stores its
-/// RunStats in out->compute. When `plans` is non-null the GAS apps run on
-/// cached ExecutionPlans (keyed by direction pair + GraphX flag) instead of
-/// rebuilding one per run; results are bit-identical either way.
-void RunApp(const ExperimentSpec& spec, const partition::DistributedGraph& dg,
-            engine::PlanCache* plans, sim::Cluster& cluster,
-            const engine::RunOptions& run_options, ExperimentResult* out);
+/// Dispatches the spec's application onto the engines over `plans.dg()`
+/// and stores its RunStats in out->compute. The GAS apps run on the
+/// cache's ExecutionPlan for their direction pair and GraphX flag; a plan
+/// is a pure function of those and the graph, so a fresh and a shared
+/// cache give bit-identical results.
+void RunApp(const ExperimentSpec& spec, engine::PlanCache& plans,
+            sim::Cluster& cluster, const engine::RunOptions& run_options,
+            ExperimentResult* out);
 
 }  // namespace gdp::harness::internal
 

@@ -13,7 +13,6 @@ std::vector<ExperimentResult> RunGrid(const std::vector<GridCell>& cells,
                                       const GridOptions& options) {
   std::vector<ExperimentResult> results(cells.size());
   const obs::ExecContext& grid_exec = options.exec;
-  GDP_CHECK(grid_exec.timeline == nullptr);
   const uint32_t num_threads =
       grid_exec.num_threads != 0 ? grid_exec.num_threads
                                  : util::ThreadPool::DefaultThreadCount();

@@ -26,8 +26,6 @@ struct GridOptions {
   /// exec.metrics / exec.trace are shared across all cells, with every
   /// cell's spans landing on its own track (exec.trace_track + cell index)
   /// so per-track nesting stays consistent under concurrency.
-  /// exec.timeline must be null — per-cell timelines live in each result
-  /// (spec.record_timeline).
   obs::ExecContext exec;
   /// Shared partition/plan artifact cache. nullptr = every cell ingests
   /// afresh (still parallel). The cache must outlive the RunGrid call.
@@ -46,8 +44,7 @@ struct GridOptions {
 ///
 /// Cells with spec.exec.num_threads == 0 are pinned to 1 engine/ingest lane
 /// when the grid itself runs multi-threaded (cell-level parallelism already
-/// saturates the host; nesting pools would oversubscribe it). Cells that
-/// record timelines bypass the cache but still run in parallel.
+/// saturates the host; nesting pools would oversubscribe it).
 std::vector<ExperimentResult> RunGrid(const std::vector<GridCell>& cells,
                                       const GridOptions& options = {});
 

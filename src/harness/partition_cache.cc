@@ -151,8 +151,7 @@ size_t PartitionCache::size() const {
 }
 
 obs::CacheStats PartitionCache::stats() const {
-  return obs::CacheStats{hits_->Value(), misses_->Value(),
-                         bypasses_->Value()};
+  return obs::CacheStats{hits_->Value(), misses_->Value()};
 }
 
 namespace {
@@ -172,10 +171,8 @@ ExperimentResult RunCellCached(const graph::EdgeList& edges,
     // The compute phase runs under the caller's own sinks (the cached and
     // fresh paths start from bit-identical post-ingress cluster states, so
     // their compute spans carry identical simulated-cost fields).
-    internal::RunApp(spec, entry->ingest.graph, entry->plans.get(), cluster,
-                     internal::RunOptionsFor(
-                         spec, internal::ExecFor(spec, /*timeline=*/nullptr)),
-                     &result);
+    internal::RunApp(spec, *entry->plans, cluster,
+                     internal::RunOptionsFor(spec, spec.exec), &result);
   }
   internal::FinalizeClusterMetrics(cluster, &result);
   return result;
@@ -186,21 +183,12 @@ ExperimentResult RunCellCached(const graph::EdgeList& edges,
 ExperimentResult RunExperimentCached(const graph::EdgeList& edges,
                                      const ExperimentSpec& spec,
                                      PartitionCache& cache) {
-  // A recorded timeline must watch the ingress happen; run it fresh.
-  if (spec.record_timeline) {
-    cache.CountBypass();
-    return RunExperiment(edges, spec);
-  }
   return RunCellCached(edges, spec, cache, /*ingress_only=*/false);
 }
 
 ExperimentResult RunIngressOnlyCached(const graph::EdgeList& edges,
                                       const ExperimentSpec& spec,
                                       PartitionCache& cache) {
-  if (spec.record_timeline) {
-    cache.CountBypass();
-    return RunIngressOnly(edges, spec);
-  }
   return RunCellCached(edges, spec, cache, /*ingress_only=*/true);
 }
 

@@ -112,19 +112,14 @@ class PartitionCache {
   /// Bytes currently held by resident (non-evicted) entries.
   uint64_t resident_bytes() const GDP_EXCLUDES(mu_);
 
-  /// Lookup accounting: hits (entry already built), misses (this call ran
-  /// the ingress), bypasses (timeline-recording cells that skipped the
-  /// cache — see RunExperimentCached). Backed by the cache's own metrics
-  /// registry.
+  /// Lookup accounting: hits (entry already built) vs misses (this call
+  /// ran the ingress). Backed by the cache's own metrics registry.
   obs::CacheStats stats() const;
-
-  /// Records one cache bypass (a cell that deliberately ran fresh).
-  void CountBypass() { bypasses_->Increment(); }
 
   size_t size() const GDP_EXCLUDES(mu_);
 
   /// The cache's own metrics registry (partition_cache.hits/misses/
-  /// bypasses/evictions/evicted_bytes counters + resident_bytes gauge),
+  /// evictions/evicted_bytes counters + resident_bytes gauge),
   /// for MergeFrom into an exported registry.
   const obs::MetricsRegistry& registry() const { return registry_; }
 
@@ -156,7 +151,6 @@ class PartitionCache {
   obs::MetricsRegistry registry_;
   obs::Counter* hits_ = registry_.GetCounter("partition_cache.hits");
   obs::Counter* misses_ = registry_.GetCounter("partition_cache.misses");
-  obs::Counter* bypasses_ = registry_.GetCounter("partition_cache.bypasses");
   obs::Counter* evictions_ = registry_.GetCounter("partition_cache.evictions");
   obs::Counter* evicted_bytes_ =
       registry_.GetCounter("partition_cache.evicted_bytes");
@@ -167,8 +161,10 @@ class PartitionCache {
 /// RunExperiment through `cache`: ingress (and plan construction) are
 /// served from the cache when an equal-keyed cell already ran; the compute
 /// phase starts from the restored post-ingress cluster state. Results are
-/// field-identical to RunExperiment on a fresh cluster. Specs recording a
-/// timeline bypass the cache (the timeline samples ingress as it runs).
+/// field-identical to RunExperiment on a fresh cluster. Cached ingress runs
+/// sink-free, so a cache hit emits no ingress spans: callers who need Fig
+/// 6.3's ingress memory samples (the `memory_bytes` args on the ingress
+/// spans) use RunExperiment, as bench_fig63_timeline does.
 ExperimentResult RunExperimentCached(const graph::EdgeList& edges,
                                      const ExperimentSpec& spec,
                                      PartitionCache& cache);

@@ -3,10 +3,6 @@
 
 #include <cstdint>
 
-namespace gdp::sim {
-class Timeline;
-}  // namespace gdp::sim
-
 namespace gdp::obs {
 
 class MetricsRegistry;
@@ -14,9 +10,8 @@ class TraceRecorder;
 
 /// The shared execution context threaded through every subsystem that runs
 /// work (ingress pipeline, GAS engines, experiment harness, grid runner).
-/// It replaces the `num_threads` + `timeline` field pairs that used to be
-/// copy-pasted across IngestOptions, RunOptions, and ExperimentSpec, and
-/// carries the observability sinks introduced with it.
+/// IngestOptions, RunOptions, and ExperimentSpec each carry one, so the
+/// host thread count and the observability sinks travel as one field.
 ///
 /// Cost contract: a default-constructed ExecContext ("null context") makes
 /// every instrumentation site a branch on a nullptr — no allocation, no
@@ -29,9 +24,6 @@ struct ExecContext {
   /// Simulated results are bit-identical at every setting — the engine and
   /// ingest determinism contracts (DESIGN.md sections 7-8).
   uint32_t num_threads = 0;
-  /// Optional resource timeline sampled at phase barriers (Fig 6.3). Not
-  /// owned; may be null.
-  sim::Timeline* timeline = nullptr;
   /// Optional metrics sink (counters/gauges/histograms). Not owned.
   MetricsRegistry* metrics = nullptr;
   /// Optional trace-span sink (phase-scoped spans, two clocks). Not owned.
@@ -41,10 +33,8 @@ struct ExecContext {
   /// track so nesting depths stay per-cell consistent.
   uint64_t trace_track = 0;
 
-  /// True when any observer (timeline, metrics, trace) is attached.
-  bool HasObservers() const {
-    return timeline != nullptr || metrics != nullptr || trace != nullptr;
-  }
+  /// True when any observer (metrics, trace) is attached.
+  bool HasObservers() const { return metrics != nullptr || trace != nullptr; }
 };
 
 }  // namespace gdp::obs

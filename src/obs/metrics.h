@@ -162,9 +162,6 @@ struct CacheStats {
   uint64_t hits = 0;
   /// Lookups that had to build the entry.
   uint64_t misses = 0;
-  /// Lookups that skipped the cache entirely (e.g. timeline-recording
-  /// cells, which must watch the ingress happen).
-  uint64_t bypasses = 0;
 };
 
 /// A named collection of counters, gauges, and histograms.

@@ -221,7 +221,6 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
   // sinks only read simulated state, so attaching them cannot perturb the
   // bit-identical determinism contract.
   const obs::ExecContext& exec = options.exec;
-  sim::Timeline* const timeline = exec.timeline;
 
   util::ThreadPool pool(num_threads);
 
@@ -345,7 +344,7 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
           });
     };
 
-    if (num_threads > 1 && partitioner.PassIsParallelSafe(pass)) {
+    if (partitioner.PassIsParallelSafe(pass)) {
       pool.ParallelFor(num_loaders, [&](uint64_t chunk, uint32_t lane) {
         (void)lane;
         run_loader(static_cast<uint32_t>(chunk));
@@ -391,7 +390,9 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
     merged.FlushTo(cluster);
     charge_state_delta();
     report.pass_seconds.push_back(cluster.EndPhase());
-    if (timeline != nullptr) timeline->Sample(cluster);
+    // The pass's memory sample is read at the barrier, while the moved
+    // edges' old copies are still held.
+    const uint64_t barrier_memory = cluster.TotalMemoryBytes();
     // Pass complete: release the moved edges' old copies.
     for (uint32_t m = 0; m < num_machines; ++m) {
       if (frees[m] != 0) cluster.machine(m).Free(frees[m]);
@@ -400,6 +401,7 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
     pass_span.Arg("sent_bytes",
                   static_cast<int64_t>(merged.TotalSentBytes()));
     pass_span.Arg("edges_moved", static_cast<int64_t>(pass_moved));
+    pass_span.Arg("memory_bytes", static_cast<int64_t>(barrier_memory));
     pass_span.End(cluster.now_seconds());
   }
 
@@ -431,8 +433,9 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
     }
   };
 
-  if (num_threads > 1 && num_edges > 0) {
-    // Edge-range shards build private tables, OR-merged word-wise.
+  if (num_edges > 0) {
+    // Edge-range shards build private tables, OR-merged word-wise (one
+    // shard, run inline, at one thread).
     const uint32_t num_shards = num_threads;
     std::vector<TableShard> shards(num_shards);
     for (TableShard& s : shards) {
@@ -453,19 +456,6 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
       for (uint32_t p = 0; p < num_partitions; ++p) {
         dg.partition_edge_count[p] += s.edge_count[p];
       }
-    }
-  } else if (num_edges > 0) {
-    TableShard whole;
-    whole.replicas = ReplicaTable(dg.num_vertices, num_partitions);
-    whole.in_parts = ReplicaTable(dg.num_vertices, num_partitions);
-    whole.out_parts = ReplicaTable(dg.num_vertices, num_partitions);
-    whole.edge_count.assign(num_partitions, 0);
-    visit_shard(whole, 0, num_edges);
-    dg.replicas.MergeFrom(whole.replicas);
-    dg.in_edge_partitions.MergeFrom(whole.in_parts);
-    dg.out_edge_partitions.MergeFrom(whole.out_parts);
-    for (uint32_t p = 0; p < num_partitions; ++p) {
-      dg.partition_edge_count[p] += whole.edge_count[p];
     }
   }
   // A vertex is present exactly when some partition got one of its edges.
@@ -527,16 +517,10 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
     stripe_replica_total[stripe] = replica_total;
     stripe_present_count[stripe] = present_count;
   };
-  if (num_threads > 1) {
-    pool.ParallelFor(num_stripes, [&](uint64_t stripe, uint32_t lane) {
-      (void)lane;
-      run_stripe(stripe);
-    });
-  } else {
-    for (uint64_t stripe = 0; stripe < num_stripes; ++stripe) {
-      run_stripe(stripe);
-    }
-  }
+  pool.ParallelFor(num_stripes, [&](uint64_t stripe, uint32_t lane) {
+    (void)lane;
+    run_stripe(stripe);
+  });
 
   uint64_t replica_total = 0;
   uint64_t present_count = 0;
@@ -577,10 +561,11 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
                                 (m < finalize_ticks % num_machines ? 1 : 0));
   }
   report.pass_seconds.push_back(cluster.EndPhase());
-  if (timeline != nullptr) timeline->Sample(cluster);
   finalize_span.Arg("present_vertices",
                     static_cast<int64_t>(present_count));
   finalize_span.Arg("replica_total", static_cast<int64_t>(replica_total));
+  finalize_span.Arg("memory_bytes",
+                    static_cast<int64_t>(cluster.TotalMemoryBytes()));
   finalize_span.End(cluster.now_seconds());
 
   // Ingress done: the partitioner's transient state is released — exactly
@@ -588,10 +573,6 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
   for (uint32_t m = 0; m < num_machines; ++m) {
     if (state_held[m] != 0) cluster.machine(m).Free(state_held[m]);
     state_held[m] = 0;
-  }
-  if (timeline != nullptr) {
-    timeline->Sample(cluster);
-    timeline->Mark(cluster, "ingress-end");
   }
 
   report.ingress_seconds = cluster.now_seconds() - start_time;
@@ -602,6 +583,10 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
           : EdgeBalanceFromCounts(dg.partition_edge_count, num_edges);
   ingress_span.Arg("edges", static_cast<int64_t>(num_edges));
   ingress_span.Arg("edges_moved", static_cast<int64_t>(report.edges_moved));
+  // Read after the partitioner state is released: the span's
+  // sim_end_seconds marks the end of ingress (Fig 6.3's black dots).
+  ingress_span.Arg("memory_bytes",
+                   static_cast<int64_t>(cluster.TotalMemoryBytes()));
   ingress_span.End(cluster.now_seconds());
   return result;
 }

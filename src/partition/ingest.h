@@ -9,7 +9,6 @@
 #include "partition/distributed_graph.h"
 #include "partition/partitioner.h"
 #include "sim/cluster.h"
-#include "sim/timeline.h"
 
 namespace gdp {
 namespace graph {
@@ -58,7 +57,7 @@ struct IngestOptions {
   /// dataset into one block per machine, §5.3).
   uint32_t num_loaders = 0;
   /// Execution context: host thread count driving the loaders/finalize
-  /// shards plus the observability sinks (timeline, metrics, trace).
+  /// shards plus the observability sinks (metrics, trace).
   /// exec.num_threads == 0 means util::ThreadPool::DefaultThreadCount(),
   /// clamped to the loader count; 1 runs everything inline. Any value
   /// yields bit-identical results — see the determinism contract on

@@ -37,7 +37,6 @@ IngestResult IngestReference(const graph::EdgeList& edges,
   // ignored — this oracle is serial by definition), so tests can compare
   // the oracle's spans/counters against the pipeline's bit for bit.
   const obs::ExecContext& exec = options.exec;
-  sim::Timeline* const timeline = exec.timeline;
   std::vector<obs::Counter*> loader_ticks;
   obs::Counter* edges_moved_counter = nullptr;
   obs::Counter* passes_counter = nullptr;
@@ -164,13 +163,14 @@ IngestResult IngestReference(const graph::EdgeList& edges,
     acc.FlushTo(cluster);
     charge_state_delta();
     report.pass_seconds.push_back(cluster.EndPhase());
-    if (timeline != nullptr) timeline->Sample(cluster);
+    const uint64_t barrier_memory = cluster.TotalMemoryBytes();
     for (uint32_t m = 0; m < num_machines; ++m) {
       if (frees[m] != 0) cluster.machine(m).Free(frees[m]);
     }
     pass_span.Arg("ticks", static_cast<int64_t>(acc.TotalTicks()));
     pass_span.Arg("sent_bytes", static_cast<int64_t>(acc.TotalSentBytes()));
     pass_span.Arg("edges_moved", static_cast<int64_t>(pass_moved));
+    pass_span.Arg("memory_bytes", static_cast<int64_t>(barrier_memory));
     pass_span.End(cluster.now_seconds());
   }
 
@@ -240,19 +240,16 @@ IngestResult IngestReference(const graph::EdgeList& edges,
                                 (m < finalize_ticks % num_machines ? 1 : 0));
   }
   report.pass_seconds.push_back(cluster.EndPhase());
-  if (timeline != nullptr) timeline->Sample(cluster);
   finalize_span.Arg("present_vertices",
                     static_cast<int64_t>(present_count));
   finalize_span.Arg("replica_total", static_cast<int64_t>(replica_total));
+  finalize_span.Arg("memory_bytes",
+                    static_cast<int64_t>(cluster.TotalMemoryBytes()));
   finalize_span.End(cluster.now_seconds());
 
   for (uint32_t m = 0; m < num_machines; ++m) {
     if (state_held[m] != 0) cluster.machine(m).Free(state_held[m]);
     state_held[m] = 0;
-  }
-  if (timeline != nullptr) {
-    timeline->Sample(cluster);
-    timeline->Mark(cluster, "ingress-end");
   }
 
   report.ingress_seconds = cluster.now_seconds() - start_time;
@@ -260,6 +257,8 @@ IngestResult IngestReference(const graph::EdgeList& edges,
   report.edge_balance_ratio = dg.EdgeBalanceRatio();
   ingress_span.Arg("edges", static_cast<int64_t>(num_edges));
   ingress_span.Arg("edges_moved", static_cast<int64_t>(report.edges_moved));
+  ingress_span.Arg("memory_bytes",
+                   static_cast<int64_t>(cluster.TotalMemoryBytes()));
   ingress_span.End(cluster.now_seconds());
   return result;
 }

@@ -7,6 +7,10 @@ namespace gdp::partition {
 
 namespace {
 constexpr char kMagic[] = "gdp-placement v1";
+// The engines keep machine sets in 64-bit masks.
+constexpr uint32_t kMaxMachines = 64;
+// ExecutionPlan's GraphX fan-out counts are uint16_t and saturate here.
+constexpr uint32_t kMaxPartitions = 65535;
 }  // namespace
 
 util::Status SavePlacement(const DistributedGraph& dg,
@@ -41,6 +45,14 @@ util::StatusOr<PlacementFile> LoadPlacement(const std::string& path) {
   in >> file.num_partitions >> file.num_machines >> file.num_vertices >>
       file.num_edges;
   if (!in) return util::Status::InvalidArgument("bad counts in " + path);
+  if (file.num_machines < 1 || file.num_machines > kMaxMachines) {
+    return util::Status::InvalidArgument(
+        "machine count outside [1, 64] in " + path);
+  }
+  if (file.num_partitions < 1 || file.num_partitions > kMaxPartitions) {
+    return util::Status::InvalidArgument(
+        "partition count outside [1, 65535] in " + path);
+  }
   // Check the counts against the file length before sizing anything: each
   // entry is at least one digit and entries are whitespace-separated, so n
   // entries need at least 2n - 1 bytes.

@@ -35,6 +35,9 @@ util::Status SavePlacement(const DistributedGraph& dg,
                            const std::string& path);
 
 /// Reads a placement file; validates the header and element counts.
+/// InvalidArgument when num_machines is outside [1, 64] (the engines'
+/// 64-bit machine masks) or num_partitions is outside [1, 65535] (the
+/// GraphX fan-out counts are 16-bit), before anything is sized.
 util::StatusOr<PlacementFile> LoadPlacement(const std::string& path);
 
 /// Rebuilds a DistributedGraph from `edges` plus a saved placement.

@@ -289,25 +289,6 @@ TEST(GridRunnerTest, SpecsConvenienceOverloadMatchesCellForm) {
   }
 }
 
-TEST(GridRunnerTest, TimelineSpecsBypassCacheButStillRun) {
-  graph::EdgeList edges = TestGraph();
-  harness::ExperimentSpec spec;
-  spec.num_machines = 4;
-  spec.max_iterations = 5;
-  spec.record_timeline = true;
-  harness::ExperimentResult fresh = harness::RunExperiment(edges, spec);
-  harness::PartitionCache cache;
-  harness::GridOptions options;
-  options.cache = &cache;
-  std::vector<harness::ExperimentResult> got =
-      harness::RunGrid({{&edges, spec, false}}, options);
-  ASSERT_EQ(got.size(), 1u);
-  ExpectResultsIdentical(fresh, got[0]);
-  EXPECT_FALSE(got[0].timeline.samples().empty());
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-}
-
 TEST(PlanCacheTest, ReturnsOnePlanPerShape) {
   graph::EdgeList edges = TestGraph();
   sim::Cluster cluster(4, sim::CostModel{});

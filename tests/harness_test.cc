@@ -5,6 +5,7 @@
 #include "engine/graphx_memory.h"
 #include "graph/generators.h"
 #include "harness/experiment.h"
+#include "obs/trace.h"
 
 namespace gdp::harness {
 namespace {
@@ -86,17 +87,34 @@ TEST(HarnessTest, EveryAppRunsOnEverySystem) {
   }
 }
 
-TEST(HarnessTest, TimelineRecordedWhenRequested) {
+// A traced cell's memory samples (the `memory_bytes` span args) cover the
+// ingress passes, finalize, the end of ingress and every superstep.
+TEST(HarnessTest, TraceSamplesMemoryAcrossIngressAndCompute) {
+  obs::TraceRecorder trace;
   ExperimentSpec spec;
   spec.num_machines = 4;
   spec.app = AppKind::kPageRankFixed;
   spec.max_iterations = 3;
-  spec.record_timeline = true;
+  spec.exec.trace = &trace;
   ExperimentResult r = RunExperiment(SmallSocial(), spec);
-  EXPECT_GE(r.timeline.samples().size(), 4u);
-  EXPECT_GE(r.timeline.MarkTime("ingress-end"), 0.0);
-  EXPECT_GT(r.timeline.MarkTime("compute-end"),
-            r.timeline.MarkTime("ingress-end"));
+
+  size_t samples = 0;
+  double ingress_end = -1.0;
+  double last_superstep_end = -1.0;
+  for (const obs::TraceSpan& span : trace.Snapshot()) {
+    bool sampled = false;
+    for (const auto& [key, value] : span.args) {
+      sampled |= key == "memory_bytes" && value > 0;
+    }
+    if (!sampled) continue;
+    ++samples;
+    if (span.name == "ingress") ingress_end = span.sim_end_seconds;
+    if (span.category == "engine") last_superstep_end = span.sim_end_seconds;
+  }
+  EXPECT_GE(samples, 5u);
+  EXPECT_GE(ingress_end, 0.0);
+  EXPECT_GT(last_superstep_end, ingress_end);
+  EXPECT_EQ(last_superstep_end, r.total_seconds);
 }
 
 TEST(HarnessTest, GraphXPartitionsPerMachine) {

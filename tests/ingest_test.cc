@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "graph/generators.h"
+#include "obs/trace.h"
 #include "partition/ingest.h"
 #include "sim/cluster.h"
-#include "sim/timeline.h"
 
 namespace gdp::partition {
 namespace {
@@ -125,17 +129,30 @@ TEST(IngestTest, MoreMachinesPartitionFaster) {
   EXPECT_LT(t25, t9);
 }
 
-TEST(IngestTest, TimelineMarksIngressEnd) {
+// The ingress spans carry the cluster's total simulated memory (Fig 6.3's
+// samples): finalize reads it before the partitioner state is released,
+// the enclosing ingress span after.
+TEST(IngestTest, SpansCarryClusterMemory) {
   graph::EdgeList edges = graph::GenerateErdosRenyi(
       {.num_vertices = 100, .num_edges = 500, .seed = 9});
   sim::Cluster cluster(4, sim::CostModel{});
-  sim::Timeline timeline;
+  obs::TraceRecorder trace;
   IngestOptions options;
-  options.exec.timeline = &timeline;
-  IngestWithStrategy(edges, StrategyKind::kRandom, MakeContext(4, 100),
+  options.exec.trace = &trace;
+  IngestWithStrategy(edges, StrategyKind::kOblivious, MakeContext(4, 100),
                      cluster, options);
-  EXPECT_GE(timeline.MarkTime("ingress-end"), 0.0);
-  EXPECT_GE(timeline.samples().size(), 2u);
+
+  std::map<std::string, int64_t> memory;  // span name -> memory_bytes
+  for (const obs::TraceSpan& span : trace.Snapshot()) {
+    for (const auto& [key, value] : span.args) {
+      if (key == "memory_bytes") memory[span.name] = value;
+    }
+  }
+  ASSERT_EQ(memory.size(), 3u);  // pass 0, finalize, ingress
+  EXPECT_GT(memory.at("pass 0"), 0);
+  EXPECT_EQ(memory.at("ingress"),
+            static_cast<int64_t>(cluster.TotalMemoryBytes()));
+  EXPECT_GT(memory.at("finalize"), memory.at("ingress"));
 }
 
 TEST(IngestTest, MemoryChargedForEdgesAndReplicas) {

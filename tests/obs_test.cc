@@ -8,12 +8,14 @@
 
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "apps/pagerank.h"
+#include "engine/async_coloring.h"
 #include "engine/gas_engine.h"
 #include "engine/plan_cache.h"
 #include "engine/reference_engine.h"
@@ -355,22 +357,22 @@ TEST(ObsExecContextTest, HasObserversAndOptionsCarryExecDirectly) {
   ExecContext empty;
   EXPECT_FALSE(empty.HasObservers());
 
-  sim::Timeline timeline;
+  TraceRecorder trace;
   ExecContext ctx;
   ctx.num_threads = 2;
-  ctx.timeline = &timeline;
+  ctx.trace = &trace;
   EXPECT_TRUE(ctx.HasObservers());
 
   // Options structs carry the context verbatim — no legacy fold-in.
   partition::IngestOptions ingest_options;
   ingest_options.exec = ctx;
   EXPECT_EQ(ingest_options.exec.num_threads, 2u);
-  EXPECT_EQ(ingest_options.exec.timeline, &timeline);
+  EXPECT_EQ(ingest_options.exec.trace, &trace);
 
   engine::RunOptions run_options;
   run_options.exec = ctx;
   EXPECT_EQ(run_options.exec.num_threads, 2u);
-  EXPECT_EQ(run_options.exec.timeline, &timeline);
+  EXPECT_EQ(run_options.exec.trace, &trace);
 }
 
 // ---------------------------------------------------------------------------
@@ -538,6 +540,65 @@ TEST(ObsEngineDeterminismTest, AttachingObserversLeavesResultsIdentical) {
   EXPECT_GT(metrics.size(), 0u);
 }
 
+TEST(ObsEngineDeterminismTest, AsyncColoringReportsEveryRound) {
+  // The async coloring loop reports through the engines' observer: a run
+  // span plus one span per round, without moving any simulated result.
+  const graph::EdgeList edges = TestGraph();
+  engine::RunOptions options;
+  options.max_iterations = 1000;
+
+  sim::Cluster plain_cluster(kMachines, sim::CostModel{});
+  const partition::IngestResult plain_ingest =
+      PartitionFor(edges, plain_cluster, ExecContext{});
+  const engine::AsyncColoringResult plain =
+      engine::RunAsyncColoring(plain_ingest.graph, plain_cluster, options);
+
+  MetricsRegistry metrics;
+  TraceRecorder trace;
+  sim::Cluster cluster(kMachines, sim::CostModel{});
+  const partition::IngestResult ingest =
+      PartitionFor(edges, cluster, ExecContext{});
+  options.exec.metrics = &metrics;
+  options.exec.trace = &trace;
+  const engine::AsyncColoringResult observed =
+      engine::RunAsyncColoring(ingest.graph, cluster, options);
+
+  EXPECT_EQ(observed.colors, plain.colors);
+  EXPECT_EQ(observed.stats.compute_seconds, plain.stats.compute_seconds);
+  EXPECT_EQ(cluster.now_seconds(), plain_cluster.now_seconds());
+
+  const uint32_t rounds = observed.stats.iterations;
+  ASSERT_GT(rounds, 0u);
+  const std::vector<TraceSpan> spans = trace.Snapshot();
+  ASSERT_EQ(spans.size(), 1u + rounds);
+  EXPECT_EQ(spans.front().name, "AsyncColoring");
+  EXPECT_EQ(spans.back().name, "superstep " + std::to_string(rounds - 1));
+  EXPECT_EQ(spans.back().sim_end_seconds, cluster.now_seconds());
+  EXPECT_EQ(spans.front().sim_end_seconds, cluster.now_seconds());
+  for (size_t i = 1; i < spans.size(); ++i) {
+    SCOPED_TRACE(spans[i].name);
+    std::map<std::string, int64_t> args(spans[i].args.begin(),
+                                        spans[i].args.end());
+    EXPECT_EQ(args.at("frontier"),
+              static_cast<int64_t>(observed.stats.active_counts[i - 1]));
+    EXPECT_GT(args.at("gather_ticks"), 0);
+    EXPECT_EQ(args.at("apply_ticks"),
+              args.at("frontier") *
+                  static_cast<int64_t>(sim::kTicksPerWorkUnit));
+    EXPECT_GT(args.at("memory_bytes"), 0);
+    if (i == 1) {
+      // Every vertex starts at colour 0, so the first round recolours.
+      EXPECT_GT(args.at("signaled"), 0);
+      EXPECT_GT(args.at("apply_bytes"), 0);
+    }
+  }
+  for (const MetricsRegistry::Sample& s : metrics.Snapshot()) {
+    if (s.name == "engine.supersteps" || s.name == "engine.frontier") {
+      EXPECT_EQ(s.value, static_cast<int64_t>(rounds)) << s.name;
+    }
+  }
+}
+
 TEST(ObsIngressDeterminismTest, PipelineMatchesOracleAtEveryThreadCount) {
   const graph::EdgeList edges = TestGraph();
 
@@ -597,11 +658,10 @@ TEST(ObsCacheStatsTest, PlanCacheCountsHitsAndMisses) {
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.bypasses, 0u);
   EXPECT_EQ(cache.num_plans(), 2u);
 }
 
-TEST(ObsCacheStatsTest, PartitionCacheCountsHitsMissesAndBypasses) {
+TEST(ObsCacheStatsTest, PartitionCacheCountsHitsAndMisses) {
   const graph::EdgeList edges = TestGraph();
   harness::ExperimentSpec spec;
   spec.num_machines = kMachines;
@@ -611,14 +671,10 @@ TEST(ObsCacheStatsTest, PartitionCacheCountsHitsMissesAndBypasses) {
   harness::PartitionCache cache;
   harness::RunExperimentCached(edges, spec, cache);  // miss
   harness::RunExperimentCached(edges, spec, cache);  // hit
-  harness::ExperimentSpec timeline_spec = spec;
-  timeline_spec.record_timeline = true;
-  harness::RunExperimentCached(edges, timeline_spec, cache);  // bypass
 
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.bypasses, 1u);
 }
 
 /// The sim-cost span fields of every engine-phase span, keyed by track —
@@ -703,9 +759,9 @@ TEST(ObsGridTest, CellsLandOnTheirOwnTracks) {
 }
 
 TEST(ObsHarnessTest, TimelineStyleRunExportsValidChromeTrace) {
-  // A Fig 6.3-style cell: timeline recording plus trace/metrics sinks; the
-  // exported document must be valid Chrome trace_event JSON covering both
-  // the ingress and engine phases.
+  // A Fig 6.3-style cell: a fresh RunExperiment with trace/metrics sinks;
+  // the exported document must be valid Chrome trace_event JSON covering
+  // both the ingress and engine phases.
   const graph::EdgeList edges = TestGraph();
   MetricsRegistry metrics;
   TraceRecorder trace;
@@ -713,12 +769,9 @@ TEST(ObsHarnessTest, TimelineStyleRunExportsValidChromeTrace) {
   spec.num_machines = kMachines;
   spec.app = harness::AppKind::kPageRankFixed;
   spec.max_iterations = 5;
-  spec.record_timeline = true;
   spec.exec.metrics = &metrics;
   spec.exec.trace = &trace;
-  const harness::ExperimentResult result =
-      harness::RunExperiment(edges, spec);
-  EXPECT_FALSE(result.timeline.samples().empty());
+  harness::RunExperiment(edges, spec);
 
   const std::string json = ToChromeTraceJson(trace);
   ASSERT_TRUE(ValidateChromeTraceJson(json).ok());

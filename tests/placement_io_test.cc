@@ -134,6 +134,25 @@ TEST_F(PlacementIoTest, HeaderCountsBeyondFileLengthAreInvalidArgument) {
   std::remove(path.c_str());
 }
 
+// Machine and partition counts are bounded before anything is sized:
+// machines in [1, 64] (64-bit machine masks), partitions in [1, 65535]
+// (16-bit GraphX fan-out counts).
+TEST_F(PlacementIoTest, HeaderMachineAndPartitionBoundsAreInvalidArgument) {
+  std::string path = TempPath("gdp_placement_bounds.txt");
+  for (const char* counts :
+       {"4294967295 4", "65536 4", "0 4", "4 0", "4 65"}) {
+    SCOPED_TRACE(counts);
+    FILE* f = fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fprintf(f, "gdp-placement v1\n%s 2 1\n0\n0\n0\n", counts);
+    fclose(f);
+    auto loaded = LoadPlacement(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(PlacementIoTest, MissingFileIsNotFound) {
   auto loaded = LoadPlacement("/nonexistent/placement.txt");
   EXPECT_FALSE(loaded.ok());

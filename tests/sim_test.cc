@@ -3,7 +3,6 @@
 #include "sim/cluster.h"
 #include "sim/phase_accumulator.h"
 #include "sim/cost_model.h"
-#include "sim/timeline.h"
 
 namespace gdp::sim {
 namespace {
@@ -113,37 +112,6 @@ TEST(ClusterTest, Aggregates) {
   EXPECT_EQ(cluster.MaxPeakMemoryBytes(), 300u);
   EXPECT_DOUBLE_EQ(cluster.MeanPeakMemoryBytes(), 200.0);
 }
-
-TEST(TimelineTest, SamplesTrackClockAndMemory) {
-  Cluster cluster(2, CostModel{});
-  Timeline timeline;
-  cluster.machine(0).Allocate(100);
-  timeline.Sample(cluster);
-  cluster.machine(1).Allocate(300);
-  cluster.AdvanceSeconds(5);
-  timeline.Sample(cluster);
-  ASSERT_EQ(timeline.samples().size(), 2u);
-  EXPECT_DOUBLE_EQ(timeline.samples()[0].mean_memory_bytes, 50.0);
-  EXPECT_DOUBLE_EQ(timeline.samples()[1].mean_memory_bytes, 200.0);
-  EXPECT_DOUBLE_EQ(timeline.samples()[1].time_seconds, 5.0);
-}
-
-TEST(TimelineTest, MarksAndPeak) {
-  Cluster cluster(1, CostModel{});
-  Timeline timeline;
-  cluster.machine(0).Allocate(500);
-  timeline.Sample(cluster);
-  cluster.AdvanceSeconds(1);
-  timeline.Mark(cluster, "ingress-end");
-  cluster.machine(0).Free(400);
-  cluster.AdvanceSeconds(1);
-  timeline.Sample(cluster);
-  EXPECT_DOUBLE_EQ(timeline.MarkTime("ingress-end"), 1.0);
-  EXPECT_DOUBLE_EQ(timeline.MarkTime("nope"), -1.0);
-  EXPECT_DOUBLE_EQ(timeline.PeakMeanMemory(), 500.0);
-  EXPECT_DOUBLE_EQ(timeline.PeakMeanMemoryTime(), 0.0);
-}
-
 
 // ---------------------------------------------------------------------------
 // Machine allocate/free symmetry

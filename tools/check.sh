@@ -10,7 +10,13 @@
 #      no-raw-thread), then the peak-RSS probe (tools/rss_probe.cc): an
 #      unmaterialized block-streamed ingest that must hold one decode buffer
 #      per loader and whose host RSS growth must stay within the ingest
-#      byte ledger's prediction plus slack;
+#      byte ledger's prediction plus slack, then the pipeline benchmark's
+#      smoke test (perfbench/test_smoke.py): it builds
+#      perfbench/pipeline_bench.cc against src/ (Release, into
+#      .bench_build/; no ctest target compiles it) and runs all three
+#      workloads at tiny scale against the committed smoke answer digests.
+#      About 20 s with a warm .bench_build/, about 3 min on the first
+#      build. SKIPPED when python3 is not on PATH;
 #   2. native-arch engine bench: rebuilds bench_engine_scaling with
 #      -DGDP_NATIVE_ARCH=ON (-march=native on bench/ targets only) and
 #      re-runs its claims (parallel engine bit-identical to the serial
@@ -35,8 +41,8 @@
 #      makes their wall-clock thresholds meaningless).
 #
 # Usage: tools/check.sh [--quick]
-#   --quick  plain leg only (the seed tier-1 contract) — no static-analysis
-#            or sanitizer legs.
+#   --quick  leg 1 only (plain build + ctest, rss probe, perfbench smoke) —
+#            no static-analysis or sanitizer legs.
 #
 # Build trees: build-check/ (plain), build-native/ (-march=native benches),
 # build-tsafe/ (Clang thread safety), build-asan/ and build-tsan/
@@ -123,6 +129,24 @@ else
   fail "rss-probe"
 fi
 
+# Leg 1c: the pipeline benchmark's smoke test. perfbench/pipeline_bench.cc
+# is the one program no ctest target builds, so a change to a public src/
+# API it uses would otherwise go unnoticed; the smoke runs also check the
+# committed smoke-scale answer digests (perfbench/digests.txt).
+perfbench_leg() {
+  echo "=== [perfbench-smoke] perfbench/test_smoke.py ==="
+  python3 "$ROOT/perfbench/test_smoke.py"
+}
+if command -v python3 >/dev/null 2>&1; then
+  if perfbench_leg; then
+    pass "perfbench-smoke"
+  else
+    fail "perfbench-smoke"
+  fi
+else
+  skip "perfbench-smoke" "python3 not on PATH"
+fi
+
 if [[ "$QUICK" == "1" ]]; then
   skip "native-arch" "--quick"
   skip "thread-safety" "--quick"
@@ -130,7 +154,7 @@ if [[ "$QUICK" == "1" ]]; then
   skip "asan+ubsan" "--quick"
   skip "tsan" "--quick"
   print_summary
-  echo "check.sh: quick gate PASSED (plain build + ctest + lint)"
+  echo "check.sh: quick gate PASSED (plain build + ctest + lint, rss probe, perfbench smoke)"
   exit 0
 fi
 
