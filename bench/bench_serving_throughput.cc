@@ -1,17 +1,19 @@
 // Serving-layer benchmark (no paper figure): the multi-tenant query
 // scheduler over cached partitions — request batching + warm bounded
-// caches against the unbatched cold path on the same deterministic
-// arrival trace.
+// caches against one engine run per request (the unbatched path) on the
+// same deterministic arrival trace. Both paths take their plans from the
+// PlanCache; a batch's simulated cost does not depend on where its plan
+// came from.
 //
 // Claims gating this bench:
-//  1. Per-request answers are bit-identical between the batched/warm and
-//     unbatched/cold paths (always checked — the multi-source kernels must
+//  1. Per-request answers are bit-identical between the batched and
+//     unbatched paths (always checked — the multi-source kernels must
 //     not change any answer).
 //  2. Every simulated figure — responses with latencies, makespan, the
 //     serving metrics registry (latency p50/p99 included) — is
 //     bit-identical across host thread counts {1, 2, 8} (always checked).
 //  3. Batching + warm caches serve >= 2x more requests per simulated
-//     second than the unbatched cold path (always checked: throughput is
+//     second than the unbatched path (always checked: throughput is
 //     simulated, so no host-speed gating).
 //  4. Byte-budgeted caches: with a budget that cannot hold the fleet,
 //     eviction kicks in, resident bytes respect the budget, and every
@@ -33,7 +35,6 @@ using namespace gdp;
 serving::ServerOptions PathOptions(bool batched_warm, uint32_t threads) {
   serving::ServerOptions options;
   options.batching = batched_warm;
-  options.use_plan_cache = batched_warm;
   options.num_threads = threads;
   options.queue_capacity = 256;
   return options;

@@ -1,9 +1,10 @@
 #include "engine/async_coloring.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "engine/engine_obs.h"
-#include "engine/gas_engine.h"
+#include "engine/plan.h"
 
 namespace gdp::engine {
 
@@ -12,27 +13,19 @@ AsyncColoringResult RunAsyncColoring(const partition::DistributedGraph& dg,
                                      const RunOptions& options) {
   const graph::VertexId n = dg.num_vertices;
   const sim::ObjectSizes sizes;
-  internal::MachineMasks masks = internal::MachineMasks::Build(dg);
 
   // Observability sinks: one span per round, as in RunAsyncGasEngine.
   SuperstepObserver observer(options.exec, cluster, "AsyncColoring");
   const bool observed = observer.enabled();
 
-  // Symmetric adjacency in CSR form.
-  std::vector<uint64_t> offsets(static_cast<size_t>(n) + 1, 0);
-  for (const graph::Edge& e : dg.edges) {
-    ++offsets[e.src + 1];
-    ++offsets[e.dst + 1];
-  }
-  for (size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
-  std::vector<graph::VertexId> adjacency(offsets.back());
-  {
-    std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const graph::Edge& e : dg.edges) {
-      adjacency[cursor[e.src]++] = e.dst;
-      adjacency[cursor[e.dst]++] = e.src;
-    }
-  }
+  // Symmetric adjacency: a kBoth gather CSR lists every neighbor in either
+  // direction, and a vertex wakes the same neighbors it reads.
+  const ExecutionPlan plan =
+      ExecutionPlan::Build(dg, EdgeDirection::kBoth, EdgeDirection::kNone,
+                           /*graphx_counts=*/false);
+  const internal::MachineMasks& masks = plan.masks;
+  const std::vector<uint64_t>& offsets = plan.gather_offsets;
+  const std::vector<graph::VertexId>& adjacency = plan.gather_nbr;
 
   AsyncColoringResult result;
   result.colors.assign(n, 0);

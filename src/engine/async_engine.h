@@ -8,6 +8,7 @@
 #include "engine/engine_obs.h"
 #include "engine/gas_app.h"
 #include "engine/gas_engine.h"
+#include "engine/plan.h"
 #include "engine/run_stats.h"
 #include "partition/distributed_graph.h"
 #include "sim/cluster.h"
@@ -42,7 +43,6 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
   using Gather = typename App::Gather;
 
   GDP_CHECK_EQ(cluster.num_machines(), dg.num_machines);
-  GDP_CHECK_LE(dg.num_machines, 64u);
   const graph::VertexId n = dg.num_vertices;
   const sim::ObjectSizes sizes;
 
@@ -53,50 +53,22 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
   SuperstepObserver observer(exec, cluster, "AsyncGAS");
   const bool observed = observer.enabled();
 
-  // Degrees: use the graph's ingest-time cache when present, otherwise
-  // compute a local fallback (hand-assembled graphs).
-  std::vector<uint64_t> fallback_out_degree;
-  std::vector<uint64_t> fallback_in_degree;
-  if (!dg.HasDegreeCache()) {
-    fallback_out_degree.assign(n, 0);
-    fallback_in_degree.assign(n, 0);
-    for (const graph::Edge& e : dg.edges) {
-      ++fallback_out_degree[e.src];
-      ++fallback_in_degree[e.dst];
-    }
-  }
-  const std::vector<uint64_t>& out_degree =
-      dg.HasDegreeCache() ? dg.out_degree : fallback_out_degree;
-  const std::vector<uint64_t>& in_degree =
-      dg.HasDegreeCache() ? dg.in_degree : fallback_in_degree;
-  AppContext ctx{&out_degree, &in_degree};
-  internal::MachineMasks masks = internal::MachineMasks::Build(dg);
-
-  // Direction-specific adjacency in CSR form (gather needs neighbor
-  // lookups by center, which the edge list alone cannot give us cheaply
-  // in id order).
-  auto build_csr = [&](bool incoming, std::vector<uint64_t>& offsets,
-                       std::vector<graph::VertexId>& adjacency) {
-    offsets.assign(static_cast<size_t>(n) + 1, 0);
-    for (const graph::Edge& e : dg.edges) {
-      ++offsets[(incoming ? e.dst : e.src) + 1];
-    }
-    for (size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
-    adjacency.resize(dg.edges.size());
-    std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const graph::Edge& e : dg.edges) {
-      graph::VertexId key = incoming ? e.dst : e.src;
-      adjacency[cursor[key]++] = incoming ? e.src : e.dst;
-    }
-  };
-  std::vector<uint64_t> in_offsets, out_offsets;
-  std::vector<graph::VertexId> in_adjacency, out_adjacency;
-  if (IncludesIn(App::kGatherDir) || IncludesIn(App::kScatterDir)) {
-    build_csr(true, in_offsets, in_adjacency);
-  }
-  if (IncludesOut(App::kGatherDir) || IncludesOut(App::kScatterDir)) {
-    build_csr(false, out_offsets, out_adjacency);
-  }
+  // The plan supplies the adjacency and the placement masks; the async
+  // loops charge per neighbor and never read its run tables. An app that
+  // scatters in the direction it gathers wakes exactly the neighbors it
+  // gathered from, so its plan skips the scatter CSR and the wake loops
+  // read the gather CSR.
+  constexpr bool kWakeFromGather = App::kScatterDir == App::kGatherDir;
+  const ExecutionPlan plan = ExecutionPlan::Build(
+      dg, App::kGatherDir,
+      kWakeFromGather ? EdgeDirection::kNone : App::kScatterDir,
+      /*graphx_counts=*/false);
+  const internal::MachineMasks& masks = plan.masks;
+  const std::vector<uint64_t>& wake_offsets =
+      kWakeFromGather ? plan.gather_offsets : plan.scatter_offsets;
+  const std::vector<graph::VertexId>& wake_nbr =
+      kWakeFromGather ? plan.gather_nbr : plan.scatter_target;
+  AppContext ctx{&dg.out_degree, &dg.in_degree};
 
   GasRunResult<App> result;
   RunStats& stats = result.stats;
@@ -119,15 +91,8 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
     for (graph::VertexId v = 0; v < n; ++v) {
       if (!active[v]) continue;
       next_active[v] = true;  // async: the source itself retries too
-      if (IncludesOut(App::kScatterDir)) {
-        for (uint64_t i = out_offsets[v]; i < out_offsets[v + 1]; ++i) {
-          next_active[out_adjacency[i]] = true;
-        }
-      }
-      if (IncludesIn(App::kScatterDir)) {
-        for (uint64_t i = in_offsets[v]; i < in_offsets[v + 1]; ++i) {
-          next_active[in_adjacency[i]] = true;
-        }
+      for (uint64_t i = wake_offsets[v]; i < wake_offsets[v + 1]; ++i) {
+        next_active[wake_nbr[i]] = true;
       }
     }
     active.swap(next_active);
@@ -160,28 +125,20 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
       if (!active[v]) continue;
       sim::MachineId home = masks.master_machine[v];
       Gather acc = app.GatherInit();
-      bool has_gather = false;
-      auto gather_from = [&](graph::VertexId u) {
+      const uint64_t gather_begin = plan.gather_offsets[v];
+      const uint64_t gather_end = plan.gather_offsets[v + 1];
+      for (uint64_t i = gather_begin; i < gather_end; ++i) {
+        const graph::VertexId u = plan.gather_nbr[i];
         bool remote = masks.master_machine[u] != home;
         const State& seen = remote ? committed[u] : state[u];
         app.GatherEdge(v, u, seen, ctx, &acc);
-        has_gather = true;
         // A remote read also pays one mirror-cache serialization.
         const uint64_t ticks =
             sim::kTicksPerWorkUnit + (remote ? sim::kSerializeTicks : 0);
         cluster.machine(home).AddTicks(ticks);
         if (observed) breakdown.gather_ticks += ticks;
-      };
-      if (IncludesIn(App::kGatherDir)) {
-        for (uint64_t i = in_offsets[v]; i < in_offsets[v + 1]; ++i) {
-          gather_from(in_adjacency[i]);
-        }
       }
-      if (IncludesOut(App::kGatherDir)) {
-        for (uint64_t i = out_offsets[v]; i < out_offsets[v + 1]; ++i) {
-          gather_from(out_adjacency[i]);
-        }
-      }
+      const bool has_gather = gather_end != gather_begin;
       cluster.machine(home).AddTicks(sim::kTicksPerWorkUnit);  // apply
       if (observed) breakdown.apply_ticks += sim::kTicksPerWorkUnit;
       bool signal = app.Apply(v, acc, has_gather, ctx, &state[v]);
@@ -204,7 +161,8 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
       // for the next round — their mirror caches only refresh at round
       // boundaries, so waking them now would have them read the stale
       // committed value and lose the update.
-      auto wake = [&](graph::VertexId w) {
+      for (uint64_t i = wake_offsets[v]; i < wake_offsets[v + 1]; ++i) {
+        const graph::VertexId w = wake_nbr[i];
         if (w > v && masks.master_machine[w] == home) {
           active[w] = true;
         } else {
@@ -212,16 +170,6 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
         }
         cluster.machine(home).AddTicks(sim::kTicksPerWorkUnit);
         if (observed) breakdown.scatter_ticks += sim::kTicksPerWorkUnit;
-      };
-      if (IncludesOut(App::kScatterDir)) {
-        for (uint64_t i = out_offsets[v]; i < out_offsets[v + 1]; ++i) {
-          wake(out_adjacency[i]);
-        }
-      }
-      if (IncludesIn(App::kScatterDir)) {
-        for (uint64_t i = in_offsets[v]; i < in_offsets[v + 1]; ++i) {
-          wake(in_adjacency[i]);
-        }
       }
     }
 

@@ -113,8 +113,8 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   const sim::ObjectSizes sizes;
   const double work_mul = options.work_multiplier;
 
-  const std::vector<uint64_t>& out_degree = plan.out_degrees();
-  const std::vector<uint64_t>& in_degree = plan.in_degrees();
+  const std::vector<uint64_t>& out_degree = dg.out_degree;
+  const std::vector<uint64_t>& in_degree = dg.in_degree;
   AppContext ctx{&out_degree, &in_degree};
 
   const internal::MachineMasks& masks = plan.masks;

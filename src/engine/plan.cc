@@ -1,5 +1,6 @@
 #include "engine/plan.h"
 
+#include "partition/validate.h"
 #include "util/check.h"
 
 namespace gdp::engine {
@@ -92,15 +93,10 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
 
   const graph::VertexId n = dg.num_vertices;
   const uint64_t num_edges = dg.edges.size();
-
-  if (!dg.HasDegreeCache()) {
-    plan.owned_out_degree_.assign(n, 0);
-    plan.owned_in_degree_.assign(n, 0);
-    for (const graph::Edge& e : dg.edges) {
-      ++plan.owned_out_degree_[e.src];
-      ++plan.owned_in_degree_[e.dst];
-    }
-  }
+  const std::vector<uint64_t>& out_deg = dg.out_degree;
+  const std::vector<uint64_t>& in_deg = dg.in_degree;
+  GDP_CHECK_EQ(out_deg.size(), n);
+  GDP_CHECK_EQ(in_deg.size(), n);
 
   plan.masks = internal::MachineMasks::Build(dg);
 
@@ -110,11 +106,9 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
   const bool scatter_out = IncludesOut(scatter_dir);
 
   // CSR sizing. A center's gather entry count is gi * in_degree +
-  // go * out_degree (and symmetrically for scatter) — the degree caches
+  // go * out_degree (and symmetrically for scatter) — the degree arrays
   // already hold the per-direction histogram, so the old per-edge counting
   // scan collapses to a branch-free multiply-add sweep over vertices.
-  const std::vector<uint64_t>& out_deg = plan.out_degrees();
-  const std::vector<uint64_t>& in_deg = plan.in_degrees();
   const uint64_t gi = gather_in ? 1 : 0;
   const uint64_t go = gather_out ? 1 : 0;
   const uint64_t si = scatter_in ? 1 : 0;
@@ -195,6 +189,9 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
     }
   }
 
+  GDP_DCHECK_OK(partition::ValidateCsr(plan.gather_offsets, plan.gather_nbr));
+  GDP_DCHECK_OK(
+      partition::ValidateCsr(plan.scatter_offsets, plan.scatter_target));
   return plan;
 }
 

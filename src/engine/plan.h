@@ -47,8 +47,6 @@ inline uint64_t DirectionMask(const MachineMasks& masks, EdgeDirection dir,
 ///    simulated work is one multiply per distinct machine instead of one
 ///    accumulator call per edge (integer sums are order-free, which is why
 ///    regrouping by machine cannot change any flushed cost);
-///  - cached degrees (reusing partition::DistributedGraph's cache when the
-///    builder filled it);
 ///  - the placement bitmasks (MachineMasks) message counting runs on;
 ///  - GraphX's per-partition fan-out counts (shuffle-block accounting).
 ///
@@ -115,29 +113,11 @@ struct ExecutionPlan {
   /// The per-vertex structures (offsets, runs, masks) are not counted.
   uint64_t AdjacencyBytes() const;
 
-  /// Degrees for the application context: dg's ingest-time cache when it
-  /// was built, otherwise the plan's own fallback copy.
-  const std::vector<uint64_t>& out_degrees() const {
-    return owned_out_degree_.empty() && dg->HasDegreeCache()
-               ? dg->out_degree
-               : owned_out_degree_;
-  }
-  const std::vector<uint64_t>& in_degrees() const {
-    return owned_in_degree_.empty() && dg->HasDegreeCache()
-               ? dg->in_degree
-               : owned_in_degree_;
-  }
-
   /// Builds a plan for the given directions. `graphx_counts` additionally
   /// builds the per-partition fan-out tables (EngineKind::kGraphXPregel).
   static ExecutionPlan Build(const partition::DistributedGraph& dg,
                              EdgeDirection gather_dir,
                              EdgeDirection scatter_dir, bool graphx_counts);
-
- private:
-  // Fallback degree storage when dg lacks the cache (hand-built graphs).
-  std::vector<uint64_t> owned_out_degree_;
-  std::vector<uint64_t> owned_in_degree_;
 };
 
 }  // namespace gdp::engine

@@ -20,17 +20,14 @@ util::Status SaveEdgeList(const EdgeList& edges, const std::string& path) {
   return util::Status::Ok();
 }
 
-util::StatusOr<EdgeList> LoadEdgeList(const std::string& path, bool renumber) {
+util::StatusOr<EdgeList> LoadEdgeList(const std::string& path) {
   std::ifstream in(path);
   if (!in) return util::Status::NotFound("cannot open: " + path);
   EdgeList edges(path, 0, {});
   std::unordered_map<uint64_t, VertexId> remap;
   auto map_id = [&](uint64_t raw) -> VertexId {
-    if (!renumber) return static_cast<VertexId>(raw);
-    auto [it, inserted] =
-        remap.try_emplace(raw, static_cast<VertexId>(remap.size()));
-    (void)inserted;
-    return it->second;
+    return remap.try_emplace(raw, static_cast<VertexId>(remap.size()))
+        .first->second;
   };
   std::string line;
   uint64_t line_no = 0;
@@ -42,16 +39,6 @@ util::StatusOr<EdgeList> LoadEdgeList(const std::string& path, bool renumber) {
     if (!(ss >> u >> v)) {
       char buf[96];
       std::snprintf(buf, sizeof(buf), "parse error at line %llu",
-                    static_cast<unsigned long long>(line_no));
-      return util::Status::InvalidArgument(std::string(buf) + " in " + path);
-    }
-    // Raw ids become VertexIds as-is, and num_vertices is max id + 1, so
-    // kInvalidVertex (2^32 - 1) and above would wrap.
-    if (!renumber && (u >= kInvalidVertex || v >= kInvalidVertex)) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "vertex id %llu at line %llu exceeds the 32-bit id range",
-                    static_cast<unsigned long long>(u >= v ? u : v),
                     static_cast<unsigned long long>(line_no));
       return util::Status::InvalidArgument(std::string(buf) + " in " + path);
     }

@@ -13,11 +13,10 @@ namespace gdp::graph {
 util::Status SaveEdgeList(const EdgeList& edges, const std::string& path);
 
 /// Loads a plain-text edge list. Vertex ids are dense-renumbered in order of
-/// first appearance when `renumber` is true (SNAP files have sparse ids);
-/// otherwise they are kept as-is, and an id of 2^32 - 1 or more is
-/// InvalidArgument.
-util::StatusOr<EdgeList> LoadEdgeList(const std::string& path,
-                                      bool renumber = true);
+/// first appearance (SNAP files have sparse ids), so raw ids never size an
+/// array: num_vertices <= 2 * num_edges. A line that does not start with two
+/// unsigned 64-bit integers is InvalidArgument.
+util::StatusOr<EdgeList> LoadEdgeList(const std::string& path);
 
 }  // namespace gdp::graph
 

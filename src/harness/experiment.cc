@@ -74,7 +74,6 @@ partition::IngestOptions IngestOptionsFor(const ExperimentSpec& spec,
   options.exec = exec;
   options.seed = spec.seed ^ 0x51ed2701;
   options.use_block_store = spec.use_block_ingress;
-  options.block_size_edges = spec.ingress_block_size_edges;
   switch (spec.engine) {
     case engine::EngineKind::kPowerGraphSync:
       options.master_policy = partition::MasterPolicy::kRandomReplica;

@@ -59,9 +59,6 @@ struct ExperimentSpec {
   /// are bit-identical either way; this trades a little decode CPU for a
   /// much smaller resident edge working set.
   bool use_block_ingress = false;
-  /// Block size for the store (0 = EdgeBlockStore default). Only read when
-  /// use_block_ingress is set.
-  uint32_t ingress_block_size_edges = 0;
   /// Ingress memory budget in bytes (0 = unbounded), passed to the
   /// partitioner as PartitionContext::memory_budget_bytes: budget-aware
   /// strategies (SNE, HEP) bound their resident state by it, and it joins

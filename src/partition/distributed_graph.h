@@ -41,20 +41,17 @@ struct DistributedGraph {
 
   std::vector<uint64_t> partition_edge_count;
 
-  /// Cached per-vertex degrees over `edges`, filled by BuildDegreeCache()
-  /// at ingest time so the engines stop recomputing them per run. Empty on
-  /// hand-assembled graphs; callers needing degrees must handle both.
+  /// Per-vertex degrees of the partitioned edges, num_vertices entries
+  /// each. Every producer fills them (Ingest, IngestReference and
+  /// ApplyPlacement; hand-assembled graphs call BuildDegreeCache()), so the
+  /// engines and plans read them as-is; ValidatePlacement checks them
+  /// against a recount.
   std::vector<uint64_t> out_degree;
   std::vector<uint64_t> in_degree;
 
-  /// (Re)computes the degree caches from `edges`. Call after the edge
+  /// (Re)computes the degree arrays from `edges`. Call after the edge
   /// vector is final.
   void BuildDegreeCache();
-
-  /// True once BuildDegreeCache() has run against the current vertex count.
-  bool HasDegreeCache() const {
-    return out_degree.size() == num_vertices && in_degree.size() == num_vertices;
-  }
 
   /// Average replicas per present vertex — the paper's headline
   /// partitioning-quality metric.

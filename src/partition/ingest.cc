@@ -629,12 +629,8 @@ IngestResult IngestWithStrategy(const graph::EdgeList& edges,
   if (ctx.num_vertices == 0) ctx.num_vertices = edges.num_vertices();
   std::unique_ptr<Partitioner> partitioner = MakePartitioner(kind, ctx);
   if (options.use_block_store) {
-    graph::EdgeBlockStore::Options store_options;
-    if (options.block_size_edges != 0) {
-      store_options.block_size_edges = options.block_size_edges;
-    }
     const graph::EdgeBlockStore store =
-        graph::EdgeBlockStore::FromEdges(edges, store_options);
+        graph::EdgeBlockStore::FromEdges(edges);
     return Ingest(store, *partitioner, cluster, options);
   }
   return Ingest(edges, *partitioner, cluster, options);

@@ -85,10 +85,9 @@ struct IngestOptions {
   // --- Convenience-path knobs (IngestWithStrategy only) ---------------------
 
   /// Route IngestWithStrategy through a compressed EdgeBlockStore built
-  /// from the edge list (the harness seam: ExperimentSpec toggles this).
+  /// from the edge list with the default block size (the harness seam:
+  /// ExperimentSpec toggles this).
   bool use_block_store = false;
-  /// Block size for that store; 0 = EdgeBlockStore's default.
-  uint32_t block_size_edges = 0;
 };
 
 /// Per-pass ingress CPU cost (in Partitioner work ticks, 0.05 units each)

@@ -108,6 +108,7 @@ util::StatusOr<DistributedGraph> ApplyPlacement(const graph::EdgeList& edges,
   dg.edges = edges.edges();
   dg.edge_partition = file.edge_partition;
   dg.master = file.master;
+  dg.BuildDegreeCache();
 
   dg.replicas = ReplicaTable(dg.num_vertices, dg.num_partitions);
   dg.in_edge_partitions = ReplicaTable(dg.num_vertices, dg.num_partitions);
@@ -128,7 +129,13 @@ util::StatusOr<DistributedGraph> ApplyPlacement(const graph::EdgeList& edges,
   uint64_t replica_total = 0;
   uint64_t present_count = 0;
   for (graph::VertexId v = 0; v < dg.num_vertices; ++v) {
-    if (!dg.present[v]) continue;
+    if (!dg.present[v]) {
+      if (dg.master[v] != ReplicaTable::kInvalid) {
+        return util::Status::FailedPrecondition(
+            "vertex with no edges has a master in placement");
+      }
+      continue;
+    }
     if (dg.master[v] == ReplicaTable::kInvalid) {
       return util::Status::FailedPrecondition(
           "present vertex has no master in placement");

@@ -41,10 +41,11 @@ util::Status SavePlacement(const DistributedGraph& dg,
 util::StatusOr<PlacementFile> LoadPlacement(const std::string& path);
 
 /// Rebuilds a DistributedGraph from `edges` plus a saved placement.
-/// Fails when the placement does not match the edge list's shape. The
-/// replica tables, per-partition counts, and replication factor are
-/// recomputed; the result is byte-for-byte equivalent to the ingest that
-/// produced the placement.
+/// FailedPrecondition when the placement does not match the edge list's
+/// shape, or a vertex with edges has no master, or one without has a
+/// master. The replica tables, per-partition counts, degrees and
+/// replication factor are recomputed; the result is byte-for-byte
+/// equivalent to the ingest that produced the placement.
 util::StatusOr<DistributedGraph> ApplyPlacement(const graph::EdgeList& edges,
                                                 const PlacementFile& file);
 

@@ -83,10 +83,6 @@ util::Status ValidateCsr(std::span<const uint64_t> offsets,
   return util::Status::Ok();
 }
 
-util::Status ValidateCsr(const graph::Csr& csr) {
-  return ValidateCsr(csr.offsets(), csr.adjacency());
-}
-
 util::Status ValidatePlacement(const DistributedGraph& dg) {
   if (dg.edge_partition.size() != dg.edges.size()) {
     return util::Status::FailedPrecondition(
@@ -124,32 +120,34 @@ util::Status ValidatePlacement(const DistributedGraph& dg) {
     }
   }
 
-  // Degree caches are optional, but when present they must agree with the
-  // edge vector (a stale cache silently skews engine message accounting).
-  if (!dg.out_degree.empty() || !dg.in_degree.empty()) {
-    if (!dg.HasDegreeCache()) {
+  // Every producer fills the degree arrays and the engines read them as-is,
+  // so a missing or stale array silently skews plans and degree-dependent
+  // apps.
+  if (dg.out_degree.size() != dg.num_vertices ||
+      dg.in_degree.size() != dg.num_vertices) {
+    return util::Status::FailedPrecondition(
+        "placement: out/in degree arrays sized " +
+        std::to_string(dg.out_degree.size()) + "/" +
+        std::to_string(dg.in_degree.size()) + " for " +
+        std::to_string(dg.num_vertices) + " vertices");
+  }
+  std::vector<uint64_t> out_recount(dg.num_vertices, 0);
+  std::vector<uint64_t> in_recount(dg.num_vertices, 0);
+  for (const graph::Edge& e : dg.edges) {
+    // ValidateReplicaTable reports out-of-range endpoints.
+    if (e.src >= dg.num_vertices || e.dst >= dg.num_vertices) continue;
+    ++out_recount[e.src];
+    ++in_recount[e.dst];
+  }
+  for (graph::VertexId v = 0; v < dg.num_vertices; ++v) {
+    if (out_recount[v] != dg.out_degree[v] ||
+        in_recount[v] != dg.in_degree[v]) {
       return util::Status::FailedPrecondition(
-          "placement: degree cache sized " +
-          std::to_string(dg.out_degree.size()) + "/" +
-          std::to_string(dg.in_degree.size()) + " for " +
-          std::to_string(dg.num_vertices) + " vertices");
-    }
-    std::vector<uint64_t> out_recount(dg.num_vertices, 0);
-    std::vector<uint64_t> in_recount(dg.num_vertices, 0);
-    for (const graph::Edge& e : dg.edges) {
-      ++out_recount[e.src];
-      ++in_recount[e.dst];
-    }
-    for (graph::VertexId v = 0; v < dg.num_vertices; ++v) {
-      if (out_recount[v] != dg.out_degree[v] ||
-          in_recount[v] != dg.in_degree[v]) {
-        return util::Status::FailedPrecondition(
-            "placement: " + VertexStr(v) + " cached degrees " +
-            std::to_string(dg.out_degree[v]) + "/" +
-            std::to_string(dg.in_degree[v]) + " but edges give " +
-            std::to_string(out_recount[v]) + "/" +
-            std::to_string(in_recount[v]));
-      }
+          "placement: " + VertexStr(v) + " out/in degrees " +
+          std::to_string(dg.out_degree[v]) + "/" +
+          std::to_string(dg.in_degree[v]) + " but edges give " +
+          std::to_string(out_recount[v]) + "/" +
+          std::to_string(in_recount[v]));
     }
   }
   return util::Status::Ok();

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <span>
 
-#include "graph/csr.h"
+#include "graph/types.h"
 #include "partition/distributed_graph.h"
 #include "util/status.h"
 
@@ -21,21 +21,19 @@ namespace gdp::partition {
 ///
 /// Debug builds of the harness (harness/experiment.cc) and the GAS engine
 /// (engine/gas_engine.h) run ValidateDistributedGraph on every ingest /
-/// engine entry; release builds compile the calls out.
+/// engine entry, and ExecutionPlan::Build runs ValidateCsr on both CSRs of
+/// every plan; release builds compile the calls out.
 
-/// Checks CSR shape: offsets present and monotone non-decreasing,
-/// offsets.back() equal to the adjacency length, and every neighbor id
-/// within [0, num_vertices).
-util::Status ValidateCsr(const graph::Csr& csr);
-
-/// Raw-span overload, for validating CSR structures that do not live in a
-/// graph::Csr (and for corruption tests, which cannot forge a Csr).
+/// Checks CSR shape: offsets either empty (with no adjacency) or starting
+/// at 0 and monotone non-decreasing, offsets.back() equal to the adjacency
+/// length, and every neighbor id within [0, offsets.size() - 1).
 util::Status ValidateCsr(std::span<const uint64_t> offsets,
                          std::span<const graph::VertexId> adjacency);
 
 /// Checks edge placement: every edge assigned exactly one partition id in
-/// [0, num_partitions), and partition_edge_count consistent with a recount
-/// of edge_partition.
+/// [0, num_partitions), partition_edge_count consistent with a recount of
+/// edge_partition, and out_degree/in_degree sized num_vertices and equal to
+/// a recount of the edges.
 util::Status ValidatePlacement(const DistributedGraph& dg);
 
 /// Checks replica/master bookkeeping: every present vertex has exactly one

@@ -29,7 +29,7 @@ struct Batch {
   /// Pinned in phase A (serial cache traffic => deterministic eviction);
   /// the shared_ptrs keep evicted artifacts alive through phase B.
   std::shared_ptr<const harness::PartitionCache::Entry> entry;
-  std::shared_ptr<const engine::ExecutionPlan> plan;  ///< null on cold path
+  std::shared_ptr<const engine::ExecutionPlan> plan;
   uint64_t cost_us = 0;  ///< simulated execution cost, filled in phase B
 };
 
@@ -207,14 +207,12 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
   for (Batch& batch : batches) {
     const GraphConfig& config = fleet_[batch.graph];
     batch.entry = cache_.Get(*config.edges, config.spec);
-    if (options_.use_plan_cache) {
-      engine::EdgeDirection gather{};
-      engine::EdgeDirection scatter{};
-      PlanShapeFor(batch.kind, &gather, &scatter);
-      batch.plan = batch.entry->plans->Get(
-          gather, scatter,
-          config.spec.engine == engine::EngineKind::kGraphXPregel);
-    }
+    engine::EdgeDirection gather{};
+    engine::EdgeDirection scatter{};
+    PlanShapeFor(batch.kind, &gather, &scatter);
+    batch.plan = batch.entry->plans->Get(
+        gather, scatter,
+        config.spec.engine == engine::EngineKind::kGraphXPregel);
     batches_->Increment();
     if (batch.request_ids.size() > 1) {
       batched_queries_->Add(batch.request_ids.size());
@@ -228,18 +226,7 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
     Batch& batch = batches[index];
     const GraphConfig& config = fleet_[batch.graph];
     const harness::PartitionCache::Entry& entry = *batch.entry;
-
-    // Cold path: rebuild the plan for this batch from the shared graph.
-    std::shared_ptr<const engine::ExecutionPlan> plan = batch.plan;
-    if (plan == nullptr) {
-      engine::EdgeDirection gather{};
-      engine::EdgeDirection scatter{};
-      PlanShapeFor(batch.kind, &gather, &scatter);
-      plan = std::make_shared<engine::ExecutionPlan>(
-          engine::ExecutionPlan::Build(
-              entry.ingest.graph, gather, scatter,
-              config.spec.engine == engine::EngineKind::kGraphXPregel));
-    }
+    const engine::ExecutionPlan& plan = *batch.plan;
 
     sim::Cluster cluster(config.spec.num_machines, sim::CostModel{});
     cluster.Restore(entry.post_ingress);
@@ -254,7 +241,7 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
           for (uint32_t id : batch.request_ids) {
             app.sources.push_back(trace[id].source);
           }
-          auto run = engine::RunGasEngine(kind, *plan, cluster, app,
+          auto run = engine::RunGasEngine(kind, plan, cluster, app,
                                           run_options);
           for (size_t lane = 0; lane < batch.request_ids.size(); ++lane) {
             const Request& request = trace[batch.request_ids[lane]];
@@ -265,7 +252,7 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
           const Request& request = trace[batch.request_ids[0]];
           apps::SsspApp app;
           app.source = request.source;
-          auto run = engine::RunGasEngine(kind, *plan, cluster, app,
+          auto run = engine::RunGasEngine(kind, plan, cluster, app,
                                           run_options);
           result.responses[request.id].distance = run.states[request.target];
         }
@@ -277,7 +264,7 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
           app.sources.push_back(trace[id].source);
         }
         auto run =
-            engine::RunGasEngine(kind, *plan, cluster, app, run_options);
+            engine::RunGasEngine(kind, plan, cluster, app, run_options);
         for (size_t lane = 0; lane < batch.request_ids.size(); ++lane) {
           const Request& request = trace[batch.request_ids[lane]];
           result.responses[request.id].reachable =
@@ -286,7 +273,7 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
         break;
       }
       case QueryKind::kPageRankTopN: {
-        auto run = engine::RunGasEngine(kind, *plan, cluster,
+        auto run = engine::RunGasEngine(kind, plan, cluster,
                                         apps::PageRankFixed(), run_options);
         for (uint32_t id : batch.request_ids) {
           result.responses[id].top_vertices =
@@ -304,7 +291,7 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
           kmin = std::min(kmin, trace[id].k);
           kmax = std::max(kmax, trace[id].k);
         }
-        apps::KCoreResult r = apps::KCoreDecompose(kind, *plan, cluster,
+        apps::KCoreResult r = apps::KCoreDecompose(kind, plan, cluster,
                                                    kmin, kmax, run_options);
         for (uint32_t id : batch.request_ids) {
           result.responses[id].in_core =

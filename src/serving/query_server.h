@@ -38,10 +38,6 @@ struct ServerOptions {
   bool batching = true;
   /// Cap on requests per batch (clamped to the kernel lane width).
   uint32_t max_batch = 16;
-  /// Serve plans from each entry's PlanCache. false = rebuild the
-  /// execution plan for every batch (the cold path the claims bench
-  /// baselines against).
-  bool use_plan_cache = true;
   /// Simulated executor slots draining dispatched batches (earliest-free
   /// assignment, ties to the lowest slot).
   uint32_t num_executors = 4;

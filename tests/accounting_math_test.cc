@@ -42,6 +42,7 @@ partition::DistributedGraph HandGraph() {
   dg.num_present_vertices = 4;
   dg.partition_edge_count = {1, 2};
   dg.replication_factor = 5.0 / 4.0;
+  dg.BuildDegreeCache();
   return dg;
 }
 

@@ -12,6 +12,8 @@
 #include "apps/pagerank.h"
 #include "apps/sssp.h"
 #include "apps/wcc.h"
+#include "engine/async_coloring.h"
+#include "engine/async_engine.h"
 #include "engine/gas_engine.h"
 #include "engine/plan.h"
 #include "engine/reference_engine.h"
@@ -255,6 +257,55 @@ TEST(EngineAccountingPinTest, SyncCostsMatchRecordedBits) {
   }
 }
 
+// The async engines have no reference to compare with, so their costs are
+// pinned too: compute seconds (async rounds charge multiples of 5 ticks and
+// advance the clock by the mean machine time), rounds and bytes.
+TEST(EngineAccountingPinTest, AsyncCostsMatchRecordedBits) {
+  const graph::EdgeList edges = PowerLawGraph();
+  sim::Cluster ingest_cluster(kMachines, sim::CostModel{});
+  const IngestResult ingest = Partition(edges, ingest_cluster);
+
+  struct Pin {
+    const char* run;
+    double compute_seconds;
+    uint32_t iterations;
+    uint64_t network_bytes;
+  };
+  const Pin pins[] = {
+      {"sssp", 0x1.4cedfcb8f7bb2p-14, 5, 33744},
+      {"wcc", 0x1.a4f20ab3e9ca4p-14, 5, 48312},
+      {"pagerank", 0x1.da7eb663a40e8p-12, 36, 271296},
+      {"coloring", 0x1.62ea182da30e8p-13, 7, 80880},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.run);
+    sim::Cluster cluster(kMachines, sim::CostModel{});
+    RunOptions options;
+    options.max_iterations = 5000;
+    const std::string run = pin.run;
+    RunStats stats;
+    if (run == "sssp") {
+      apps::SsspApp app;
+      app.source = 5;
+      stats = RunAsyncGasEngine(ingest.graph, cluster, app, options).stats;
+    } else if (run == "wcc") {
+      stats = RunAsyncGasEngine(ingest.graph, cluster, apps::WccApp{},
+                                options)
+                  .stats;
+    } else if (run == "pagerank") {
+      stats = RunAsyncGasEngine(ingest.graph, cluster,
+                                apps::PageRankConvergent(1e-3), options)
+                  .stats;
+    } else {
+      stats = RunAsyncColoring(ingest.graph, cluster, options).stats;
+    }
+    EXPECT_TRUE(stats.converged);
+    EXPECT_EQ(stats.compute_seconds, pin.compute_seconds);
+    EXPECT_EQ(stats.iterations, pin.iterations);
+    EXPECT_EQ(stats.network_bytes, pin.network_bytes);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // K-Core decomposition (a multi-run driver that threads RunOptions through
 // every stage) is thread-count invariant end to end.
@@ -325,30 +376,6 @@ TEST(ExecutionPlanTest, PrebuiltPlanMatchesInternalBuild) {
   ExpectStatsIdentical(prebuilt.stats, internal_build.stats);
   // Same plan, second run: same answer again (plans are immutable).
   ASSERT_EQ(prebuilt_again.states, internal_build.states);
-}
-
-TEST(ExecutionPlanTest, DegreeAccessorsMatchEdgeList) {
-  graph::EdgeList edges = GridGraph();
-  sim::Cluster cluster(kMachines, sim::CostModel{});
-  IngestResult ingest = Partition(edges, cluster);
-  ASSERT_TRUE(ingest.graph.HasDegreeCache());
-
-  const ExecutionPlan plan =
-      ExecutionPlan::Build(ingest.graph, EdgeDirection::kIn,
-                           EdgeDirection::kOut, /*graphx_counts=*/false);
-  // With a cache present the plan must borrow it, not copy.
-  EXPECT_EQ(plan.out_degrees().data(), ingest.graph.out_degree.data());
-  EXPECT_EQ(plan.in_degrees().data(), ingest.graph.in_degree.data());
-
-  // Without a cache the plan computes its own, with identical contents.
-  partition::DistributedGraph stripped = ingest.graph;
-  stripped.out_degree.clear();
-  stripped.in_degree.clear();
-  const ExecutionPlan fallback =
-      ExecutionPlan::Build(stripped, EdgeDirection::kIn, EdgeDirection::kOut,
-                           /*graphx_counts=*/false);
-  EXPECT_EQ(fallback.out_degrees(), ingest.graph.out_degree);
-  EXPECT_EQ(fallback.in_degrees(), ingest.graph.in_degree);
 }
 
 TEST(ExecutionPlanTest, AccountingRunsMatchPerEntryMachineCounts) {

@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <set>
 
-#include "graph/csr.h"
 #include "graph/edge_list.h"
 #include "graph/generators.h"
 #include "graph/graph_stats.h"
@@ -60,41 +59,6 @@ TEST(EdgeListTest, DegreeArrays) {
   EXPECT_EQ(in[2], 2u);
   EXPECT_EQ(total[1], 2u);
   EXPECT_EQ(total[0], 2u);
-}
-
-// ---------------------------------------------------------------------------
-// CSR
-// ---------------------------------------------------------------------------
-
-TEST(CsrTest, OutAdjacency) {
-  EdgeList edges;
-  edges.AddEdge(0, 1);
-  edges.AddEdge(0, 2);
-  edges.AddEdge(2, 0);
-  Csr out = Csr::Build(edges, /*by_source=*/true);
-  EXPECT_EQ(out.num_vertices(), 3u);
-  EXPECT_EQ(out.Degree(0), 2u);
-  EXPECT_EQ(out.Degree(1), 0u);
-  auto n0 = out.Neighbors(0);
-  EXPECT_EQ(n0.size(), 2u);
-}
-
-TEST(CsrTest, InAdjacency) {
-  EdgeList edges;
-  edges.AddEdge(0, 2);
-  edges.AddEdge(1, 2);
-  Csr in = Csr::Build(edges, /*by_source=*/false);
-  EXPECT_EQ(in.Degree(2), 2u);
-  EXPECT_EQ(in.Degree(0), 0u);
-}
-
-TEST(CsrTest, LocalGraphHasBothDirections) {
-  EdgeList edges;
-  edges.AddEdge(0, 1);
-  LocalGraph g(edges);
-  EXPECT_EQ(g.out().Degree(0), 1u);
-  EXPECT_EQ(g.in().Degree(1), 1u);
-  EXPECT_EQ(g.num_edges(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -254,7 +218,7 @@ TEST_F(IoTest, LoadSkipsCommentsAndRenumbers) {
   ASSERT_NE(f, nullptr);
   fputs("# comment line\n1000000 2000000\n2000000 1000000\n", f);
   fclose(f);
-  auto loaded = LoadEdgeList(path, /*renumber=*/true);
+  auto loaded = LoadEdgeList(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_vertices(), 2u);  // dense ids 0,1
   EXPECT_EQ(loaded.value().num_edges(), 2u);
@@ -276,35 +240,6 @@ TEST_F(IoTest, MalformedLineIsInvalidArgument) {
   auto loaded = LoadEdgeList(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST_F(IoTest, RawIdPastThirtyTwoBitsIsInvalidArgument) {
-  std::string path = TempPath("gdp_io_wide_id.txt");
-  FILE* f = fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  fputs("0 1\n4294967296 1\n", f);
-  fclose(f);
-  auto loaded = LoadEdgeList(path, /*renumber=*/false);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
-      << loaded.status().ToString();
-  std::remove(path.c_str());
-}
-
-TEST_F(IoTest, RawIdAtVertexLimitIsInvalidArgument) {
-  // 2^32 - 1 fits a VertexId, but num_vertices (max id + 1) would wrap.
-  std::string path = TempPath("gdp_io_max_id.txt");
-  FILE* f = fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  fputs("4294967295 0\n", f);
-  fclose(f);
-  auto loaded = LoadEdgeList(path, /*renumber=*/false);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("line 1"), std::string::npos)
-      << loaded.status().ToString();
   std::remove(path.c_str());
 }
 

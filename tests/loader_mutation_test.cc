@@ -1,12 +1,14 @@
-// Seeded mutation tests for two on-disk loaders: EdgeBlockStore's
-// DeserializeFrom (plus Validate) and partition::LoadPlacement. Each starts
-// from a small valid file and derives fixed-seed mutants with util::Mix64:
-// single-byte flips, truncations, and either a random 64-bit value written
-// over an 8-byte-aligned field (block store) or an inserted 12-digit number
-// (placement file). Every mutant must load or be rejected with a Status; a
-// store that loads must then pass Validate() or fail it with a Status. No
-// mutant may crash, throw, or allocate more than its file could describe —
-// the ASan+UBSan leg of tools/check.sh runs this suite too.
+// Seeded mutation tests for the three on-disk loaders: EdgeBlockStore's
+// DeserializeFrom (plus Validate), partition::LoadPlacement and
+// graph::LoadEdgeList. Each starts from a small valid file and derives
+// fixed-seed mutants with util::Mix64: single-byte flips, truncations, and
+// either a random 64-bit value written over an 8-byte-aligned field (block
+// store) or an inserted 12-digit number (the two text formats). Every
+// mutant must load or be rejected with a Status; a store that loads must
+// then pass Validate() or fail it with a Status, and an edge list that
+// loads must have at most two vertices per edge. No mutant may crash,
+// throw, or allocate more than its file could describe — the ASan+UBSan
+// leg of tools/check.sh runs this suite too.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 
 #include "graph/edge_block_store.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "partition/placement_io.h"
 #include "util/hash.h"
 
@@ -75,7 +78,9 @@ std::string MutateStore(const std::string& valid, MixStream& rng) {
   return bytes;
 }
 
-std::string MutatePlacement(const std::string& valid, MixStream& rng) {
+/// Byte flip, truncation, or an inserted 12-digit number: the text-format
+/// mutator.
+std::string MutateText(const std::string& valid, MixStream& rng) {
   std::string text = valid;
   switch (rng.Below(3)) {
     case 0:
@@ -150,7 +155,7 @@ TEST(LoaderMutation, PlacementMutantsLoadOrFailWithStatus) {
   constexpr int kMutants = 500;
   int loaded = 0;
   for (int i = 0; i < kMutants; ++i) {
-    const std::string text = MutatePlacement(valid, rng);
+    const std::string text = MutateText(valid, rng);
     EXPECT_NO_THROW({
       if (load(text).ok()) ++loaded;
     }) << "mutant " << i;
@@ -158,6 +163,50 @@ TEST(LoaderMutation, PlacementMutantsLoadOrFailWithStatus) {
   EXPECT_GT(loaded, 0);
   EXPECT_LT(loaded, kMutants);
   std::printf("placement mutants: %d rejected, %d loaded\n",
+              kMutants - loaded, loaded);
+  std::remove(path.c_str());
+}
+
+TEST(LoaderMutation, EdgeListMutantsLoadOrFailWithStatus) {
+  // 40 edges over sparse 7-digit ids, with a comment line: inserted
+  // 12-digit numbers and flipped digits make ids that no dense array could
+  // hold, which renumbering must absorb.
+  std::string valid = "# mutation\n";
+  MixStream ids(0xed9e);
+  for (int i = 0; i < 40; ++i) {
+    valid += std::to_string(1000000 + ids.Below(9000000)) + " " +
+             std::to_string(1000000 + ids.Below(9000000)) + "\n";
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "gdp_edge_list_mutant.txt")
+          .string();
+  auto load = [&](const std::string& text) {
+    std::ofstream(path, std::ios::trunc) << text;
+    return graph::LoadEdgeList(path);
+  };
+  ASSERT_TRUE(load(valid).ok());
+
+  MixStream rng(0xed6e);
+  constexpr int kMutants = 500;
+  int loaded = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text = MutateText(valid, rng);
+    EXPECT_NO_THROW({
+      util::StatusOr<graph::EdgeList> mutant = load(text);
+      if (mutant.ok()) {
+        ++loaded;
+        EXPECT_LE(mutant.value().num_vertices(),
+                  2 * mutant.value().num_edges())
+            << "mutant " << i;
+      } else {
+        EXPECT_EQ(mutant.status().code(), util::StatusCode::kInvalidArgument)
+            << "mutant " << i << ": " << mutant.status().ToString();
+      }
+    }) << "mutant " << i;
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_LT(loaded, kMutants);
+  std::printf("edge list mutants: %d rejected, %d loaded\n",
               kMutants - loaded, loaded);
   std::remove(path.c_str());
 }

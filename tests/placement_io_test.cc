@@ -8,6 +8,7 @@
 #include "graph/generators.h"
 #include "partition/ingest.h"
 #include "partition/placement_io.h"
+#include "partition/validate.h"
 
 namespace gdp::partition {
 namespace {
@@ -52,6 +53,11 @@ TEST_F(PlacementIoTest, RoundTripPreservesEverything) {
   for (graph::VertexId v = 0; v < dg.num_vertices; ++v) {
     EXPECT_EQ(dg.replicas.Count(v), original_.replicas.Count(v));
   }
+  EXPECT_EQ(dg.present, original_.present);
+  EXPECT_EQ(dg.out_degree, original_.out_degree);
+  EXPECT_EQ(dg.in_degree, original_.in_degree);
+  const util::Status valid = ValidateDistributedGraph(dg);
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
   std::remove(path.c_str());
 }
 
@@ -90,6 +96,25 @@ TEST_F(PlacementIoTest, RejectsMismatchedEdgeList) {
   EXPECT_FALSE(rebuilt.ok());
   EXPECT_EQ(rebuilt.status().code(),
             util::StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+}
+
+// A vertex with no edges has no master; a placement that gives it one
+// would build a graph that fails ValidateDistributedGraph.
+TEST_F(PlacementIoTest, MasterForEdgelessVertexIsFailedPrecondition) {
+  std::string path = TempPath("gdp_placement_edgeless_master.txt");
+  FILE* f = fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  // 2 partitions, 2 machines, 4 vertices, 2 edges; vertex 3 has no edges
+  // but master 0.
+  fputs("gdp-placement v1\n2 2 4 2\n0\n1\n0\n0\n1\n0\n", f);
+  fclose(f);
+  auto loaded = LoadPlacement(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const graph::EdgeList edges("t", 4, {{0, 1}, {1, 2}});
+  auto rebuilt = ApplyPlacement(edges, loaded.value());
+  ASSERT_FALSE(rebuilt.ok());
+  EXPECT_EQ(rebuilt.status().code(), util::StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
 }
 

@@ -73,10 +73,8 @@ TEST(ServingSchedulerTest, BatchedAndUnbatchedAnswersAgree) {
 
   serving::ServerOptions batched;
   batched.batching = true;
-  batched.use_plan_cache = true;
   serving::ServerOptions unbatched;
   unbatched.batching = false;
-  unbatched.use_plan_cache = false;
 
   serving::QueryServer warm(Fleet(a, b), batched);
   serving::QueryServer cold(Fleet(a, b), unbatched);

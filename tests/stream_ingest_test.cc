@@ -282,7 +282,6 @@ TEST(StreamIngestTest, IngestWithStrategyBlockSeam) {
                                          flat_cluster, options);
 
   options.use_block_store = true;
-  options.block_size_edges = 777;
   IngestMemoryStats stats;
   options.memory_stats = &stats;
   sim::Cluster block_cluster(kMachines, sim::CostModel{});
@@ -292,7 +291,9 @@ TEST(StreamIngestTest, IngestWithStrategyBlockSeam) {
   EXPECT_EQ(flat.graph.edge_partition, block.graph.edge_partition);
   EXPECT_EQ(flat.graph.master, block.graph.master);
   EXPECT_EQ(flat.report.ingress_seconds, block.report.ingress_seconds);
-  EXPECT_EQ(stats.block_bytes, uint64_t{777} * sizeof(graph::Edge));
+  EXPECT_EQ(stats.block_bytes,
+            uint64_t{graph::EdgeBlockStore::kDefaultBlockSizeEdges} *
+                sizeof(graph::Edge));
   EXPECT_GT(stats.ring_buffers, 0u);
 }
 

@@ -8,9 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
-#include "graph/csr.h"
+#include "engine/plan.h"
 #include "graph/generators.h"
 #include "partition/ingest.h"
 #include "sim/cluster.h"
@@ -53,12 +54,22 @@ TEST(ValidateTest, IngestOutputIsValid) {
   }
 }
 
-TEST(ValidateTest, BuiltCsrIsValid) {
-  graph::EdgeList edges = graph::GenerateHeavyTailed(
-      {.num_vertices = 200, .edges_per_vertex = 5, .seed = 3});
-  EXPECT_TRUE(ValidateCsr(graph::Csr::Build(edges, true)).ok());
-  EXPECT_TRUE(ValidateCsr(graph::Csr::Build(edges, false)).ok());
-  EXPECT_TRUE(ValidateCsr(graph::Csr()).ok());  // empty CSR is valid
+TEST(ValidateTest, ExecutionPlanCsrsAreValid) {
+  const DistributedGraph dg = MakeValidGraph();
+  using engine::EdgeDirection;
+  const std::pair<EdgeDirection, EdgeDirection> shapes[] = {
+      {EdgeDirection::kIn, EdgeDirection::kOut},
+      {EdgeDirection::kBoth, EdgeDirection::kBoth},
+      {EdgeDirection::kBoth, EdgeDirection::kNone}};
+  for (const auto& [gather, scatter] : shapes) {
+    const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
+        dg, gather, scatter, /*graphx_counts=*/false);
+    util::Status status = ValidateCsr(plan.gather_offsets, plan.gather_nbr);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    status = ValidateCsr(plan.scatter_offsets, plan.scatter_target);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  EXPECT_TRUE(ValidateCsr({}, {}).ok());  // empty CSR is valid
 }
 
 // ---------------------------------------------------------------------------
@@ -94,6 +105,27 @@ TEST(ValidateTest, PlacementCatchesMissingAssignments) {
   util::Status status = ValidatePlacement(dg);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("partition assignments"), std::string::npos);
+}
+
+TEST(ValidateTest, PlacementCatchesMissingDegrees) {
+  // Every producer fills the degree arrays; the engines and plans read them
+  // without a fallback.
+  DistributedGraph dg = MakeValidGraph();
+  dg.out_degree.clear();
+  util::Status status = ValidatePlacement(dg);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("degree"), std::string::npos)
+      << status.ToString();
+
+  // A stale array is caught too.
+  dg.BuildDegreeCache();
+  ASSERT_TRUE(ValidatePlacement(dg).ok());
+  ++dg.in_degree[3];
+  status = ValidatePlacement(dg);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("vertex 3 out/in degrees"),
+            std::string::npos)
+      << status.ToString();
 }
 
 // ---------------------------------------------------------------------------
