@@ -12,7 +12,8 @@ KCoreResult KCoreDecompose(engine::EngineKind engine_kind,
   // partitioned graph and KCoreApp's directions.
   const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
       dg, KCoreApp::kGatherDir, KCoreApp::kScatterDir,
-      engine_kind == engine::EngineKind::kGraphXPregel);
+      engine_kind == engine::EngineKind::kGraphXPregel,
+      options.exec.num_threads);
   return KCoreDecompose(engine_kind, plan, cluster, kmin, kmax, options);
 }
 

@@ -67,7 +67,8 @@ TriangleCountResult CountTriangles(engine::EngineKind kind,
                                    const engine::RunOptions& options) {
   const engine::ExecutionPlan plan = engine::ExecutionPlan::Build(
       dg, NeighborListApp::kGatherDir, NeighborListApp::kScatterDir,
-      kind == engine::EngineKind::kGraphXPregel);
+      kind == engine::EngineKind::kGraphXPregel,
+      options.exec.num_threads);
   return CountTriangles(kind, plan, cluster, options);
 }
 

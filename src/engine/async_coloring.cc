@@ -22,7 +22,7 @@ AsyncColoringResult RunAsyncColoring(const partition::DistributedGraph& dg,
   // direction, and a vertex wakes the same neighbors it reads.
   const ExecutionPlan plan =
       ExecutionPlan::Build(dg, EdgeDirection::kBoth, EdgeDirection::kNone,
-                           /*graphx_counts=*/false);
+                           /*graphx_counts=*/false, options.exec.num_threads);
   const internal::MachineMasks& masks = plan.masks;
   const std::vector<uint64_t>& offsets = plan.gather_offsets;
   const std::vector<graph::VertexId>& adjacency = plan.gather_nbr;

@@ -62,7 +62,7 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
   const ExecutionPlan plan = ExecutionPlan::Build(
       dg, App::kGatherDir,
       kWakeFromGather ? EdgeDirection::kNone : App::kScatterDir,
-      /*graphx_counts=*/false);
+      /*graphx_counts=*/false, exec.num_threads);
   const internal::MachineMasks& masks = plan.masks;
   const std::vector<uint64_t>& wake_offsets =
       kWakeFromGather ? plan.gather_offsets : plan.scatter_offsets;

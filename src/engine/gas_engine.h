@@ -129,10 +129,7 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   SuperstepObserver observer(exec, cluster, EngineKindName(kind));
   const bool observed = observer.enabled();
 
-  const uint32_t num_threads = exec.num_threads != 0
-                                   ? exec.num_threads
-                                   : util::ThreadPool::DefaultThreadCount();
-  util::ThreadPool pool(num_threads);
+  util::ThreadPool pool(exec.num_threads);
   // Every charge is an integer tick count on a lane's accumulator; the
   // lanes merge and flush once per minor-step, and EndPhase converts each
   // machine's ticks to seconds with the run's work multiplier. GraphX's
@@ -507,7 +504,8 @@ GasRunResult<App> RunGasEngine(EngineKind kind,
                                const RunOptions& options) {
   const ExecutionPlan plan =
       ExecutionPlan::Build(dg, App::kGatherDir, App::kScatterDir,
-                           kind == EngineKind::kGraphXPregel);
+                           kind == EngineKind::kGraphXPregel,
+                           options.exec.num_threads);
   return RunGasEngine(kind, plan, cluster, std::move(app), options);
 }
 

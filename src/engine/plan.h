@@ -59,7 +59,9 @@ inline uint64_t DirectionMask(const MachineMasks& masks, EdgeDirection dir,
 /// edge preceding its out-direction entry. The restriction of the serial
 /// engine's global edge scan to one center's edges is exactly this order,
 /// so folding a center's neighbors through the CSR reproduces the serial
-/// engine's floating-point gather results bit-for-bit.
+/// engine's floating-point gather results bit-for-bit. Build keeps it at
+/// any thread count: one lane owns each center and appends its entries
+/// while scanning the edges in order.
 struct ExecutionPlan {
   const partition::DistributedGraph* dg = nullptr;
   EdgeDirection gather_dir = EdgeDirection::kNone;
@@ -115,9 +117,13 @@ struct ExecutionPlan {
 
   /// Builds a plan for the given directions. `graphx_counts` additionally
   /// builds the per-partition fan-out tables (EngineKind::kGraphXPregel).
+  /// Build runs on `num_threads` host lanes (0 = the hardware default,
+  /// as in ExecContext); every field of the plan is identical at any
+  /// thread count.
   static ExecutionPlan Build(const partition::DistributedGraph& dg,
                              EdgeDirection gather_dir,
-                             EdgeDirection scatter_dir, bool graphx_counts);
+                             EdgeDirection scatter_dir, bool graphx_counts,
+                             uint32_t num_threads = 0);
 };
 
 }  // namespace gdp::engine

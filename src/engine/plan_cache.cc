@@ -5,9 +5,9 @@
 
 namespace gdp::engine {
 
-std::shared_ptr<const ExecutionPlan> PlanCache::Get(EdgeDirection gather_dir,
-                                                    EdgeDirection scatter_dir,
-                                                    bool graphx_counts) {
+std::shared_ptr<const ExecutionPlan> PlanCache::Get(
+    EdgeDirection gather_dir, EdgeDirection scatter_dir, bool graphx_counts,
+    uint32_t num_threads) {
   const Key key{gather_dir, scatter_dir, graphx_counts};
   std::shared_ptr<Slot> slot;
   bool inserted = false;
@@ -26,8 +26,8 @@ std::shared_ptr<const ExecutionPlan> PlanCache::Get(EdgeDirection gather_dir,
   // Build outside the map lock so unrelated keys construct concurrently;
   // call_once serializes callers racing on the *same* key.
   std::call_once(slot->once, [&] {
-    auto plan = std::make_shared<ExecutionPlan>(
-        ExecutionPlan::Build(*dg_, gather_dir, scatter_dir, graphx_counts));
+    auto plan = std::make_shared<ExecutionPlan>(ExecutionPlan::Build(
+        *dg_, gather_dir, scatter_dir, graphx_counts, num_threads));
     slot->bytes = plan->AdjacencyBytes();
     slot->plan = std::move(plan);
   });

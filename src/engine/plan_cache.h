@@ -48,11 +48,13 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// The plan for the given directions, building it on first use. The
-  /// shared_ptr keeps the plan alive across eviction.
+  /// The plan for the given directions, building it on first use on
+  /// `num_threads` host lanes (0 = the hardware default). The shared_ptr
+  /// keeps the plan alive across eviction.
   std::shared_ptr<const ExecutionPlan> Get(EdgeDirection gather_dir,
                                            EdgeDirection scatter_dir,
-                                           bool graphx_counts)
+                                           bool graphx_counts,
+                                           uint32_t num_threads)
       GDP_EXCLUDES(mu_);
 
   const partition::DistributedGraph& dg() const { return *dg_; }

@@ -132,7 +132,8 @@ engine::GasRunResult<App> RunGas(const ExperimentSpec& spec,
                                  const engine::RunOptions& options) {
   const bool graphx = spec.engine == engine::EngineKind::kGraphXPregel;
   const std::shared_ptr<const engine::ExecutionPlan> plan =
-      plans.Get(App::kGatherDir, App::kScatterDir, graphx);
+      plans.Get(App::kGatherDir, App::kScatterDir, graphx,
+                options.exec.num_threads);
   return engine::RunGasEngine(spec.engine, *plan, cluster, std::move(app),
                               options);
 }
@@ -187,8 +188,9 @@ void RunApp(const ExperimentSpec& spec, engine::PlanCache& plans,
     case AppKind::kKCore: {
       engine::RunOptions opts = run_options;
       opts.max_iterations = std::max(opts.max_iterations, 1000u);
-      const std::shared_ptr<const engine::ExecutionPlan> plan = plans.Get(
-          apps::KCoreApp::kGatherDir, apps::KCoreApp::kScatterDir, graphx);
+      const std::shared_ptr<const engine::ExecutionPlan> plan =
+          plans.Get(apps::KCoreApp::kGatherDir, apps::KCoreApp::kScatterDir,
+                    graphx, opts.exec.num_threads);
       apps::KCoreResult r =
           apps::KCoreDecompose(spec.engine, *plan, cluster, spec.kcore_kmin,
                                spec.kcore_kmax, opts);
@@ -213,7 +215,8 @@ void RunApp(const ExperimentSpec& spec, engine::PlanCache& plans,
     case AppKind::kTriangles: {
       const std::shared_ptr<const engine::ExecutionPlan> plan =
           plans.Get(apps::NeighborListApp::kGatherDir,
-                    apps::NeighborListApp::kScatterDir, graphx);
+                    apps::NeighborListApp::kScatterDir, graphx,
+                    run_options.exec.num_threads);
       apps::TriangleCountResult r =
           apps::CountTriangles(spec.engine, *plan, cluster, run_options);
       out->compute = r.stats;

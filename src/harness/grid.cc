@@ -13,10 +13,7 @@ std::vector<ExperimentResult> RunGrid(const std::vector<GridCell>& cells,
                                       const GridOptions& options) {
   std::vector<ExperimentResult> results(cells.size());
   const obs::ExecContext& grid_exec = options.exec;
-  const uint32_t num_threads =
-      grid_exec.num_threads != 0 ? grid_exec.num_threads
-                                 : util::ThreadPool::DefaultThreadCount();
-  util::ThreadPool pool(num_threads);
+  util::ThreadPool pool(grid_exec.num_threads);
   const bool pin_cell_lanes = pool.num_threads() > 1;
   pool.ParallelFor(cells.size(), [&](uint64_t i, uint32_t) {
     const GridCell& cell = cells[i];

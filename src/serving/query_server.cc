@@ -212,7 +212,8 @@ ServeResult QueryServer::Serve(const std::vector<Request>& trace) {
     PlanShapeFor(batch.kind, &gather, &scatter);
     batch.plan = batch.entry->plans->Get(
         gather, scatter,
-        config.spec.engine == engine::EngineKind::kGraphXPregel);
+        config.spec.engine == engine::EngineKind::kGraphXPregel,
+        options_.num_threads);
     batches_->Increment();
     if (batch.request_ids.size() > 1) {
       batched_queries_->Add(batch.request_ids.size());

@@ -41,8 +41,9 @@ struct ServerOptions {
   /// Simulated executor slots draining dispatched batches (earliest-free
   /// assignment, ties to the lowest slot).
   uint32_t num_executors = 4;
-  /// Host worker threads executing batches (0 = hardware default). Purely
-  /// a wall-clock knob: every simulated figure is identical at any value.
+  /// Host worker threads executing batches and building their plans
+  /// (0 = hardware default). Purely a wall-clock knob: every simulated
+  /// figure is identical at any value.
   uint32_t num_threads = 1;
   /// Byte budgets forwarded to the caches (0 = unbounded).
   uint64_t partition_cache_budget_bytes = 0;

@@ -5,7 +5,8 @@
 namespace gdp::util {
 
 ThreadPool::ThreadPool(uint32_t num_threads) {
-  uint32_t lanes = std::max(1u, num_threads);
+  const uint32_t lanes =
+      num_threads != 0 ? num_threads : DefaultThreadCount();
   workers_.reserve(lanes - 1);
   for (uint32_t lane = 1; lane < lanes; ++lane) {
     workers_.emplace_back([this, lane] { WorkerLoop(lane); });

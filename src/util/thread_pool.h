@@ -15,7 +15,8 @@ namespace gdp::util {
 /// A small fork-join pool for the engines' per-superstep parallel sections.
 ///
 /// `num_threads` counts execution lanes including the calling thread, so a
-/// pool of N spawns N-1 workers and ParallelFor(…) runs chunks on all N.
+/// pool of N spawns N-1 workers and ParallelFor(…) runs chunks on all N;
+/// 0 means DefaultThreadCount(), as it does in every ExecContext.
 /// Lanes are the index space for per-thread accounting scratch
 /// (sim::PhaseAccumulator): the lane an individual chunk lands on is
 /// scheduling-dependent, so anything keyed by lane must be merged
@@ -48,7 +49,7 @@ class ThreadPool {
                    const std::function<void(uint64_t, uint32_t)>& fn)
       GDP_EXCLUDES(mu_);
 
-  /// Default lane count for RunOptions::num_threads == 0: the hardware
+  /// Default lane count for a thread count of 0: the hardware
   /// concurrency, clamped to [1, 16] so small simulated clusters on huge
   /// hosts do not drown in idle lanes.
   static uint32_t DefaultThreadCount();

@@ -3,9 +3,11 @@
 // the preserved serial engine (reference_engine.h) at every thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/kcore.h"
@@ -433,6 +435,157 @@ TEST(ExecutionPlanTest, AccountingRunsMatchPerEntryMachineCounts) {
              plan.gather_runs);
   check_side(scatter, plan.scatter_offsets, plan.scatter_run_offsets,
              plan.scatter_runs);
+}
+
+// ---------------------------------------------------------------------------
+// The parallel plan build: every field is the same at any thread count, and
+// each center's adjacency follows the edge order.
+// ---------------------------------------------------------------------------
+
+/// A star whose hub sits at the middle id, with edges in both directions
+/// and leaves / 4 self-loops on the hub: the hub holds 60% of every plan's
+/// entries, so at 8 lanes several stripe cuts fall on it and the stripes
+/// after it are empty.
+graph::EdgeList HubStar(graph::VertexId leaves) {
+  graph::EdgeList edges;
+  const graph::VertexId hub = leaves / 2;
+  for (graph::VertexId v = 0; v <= leaves; ++v) {
+    if (v == hub) continue;
+    if (v % 2 == 0) {
+      edges.AddEdge(hub, v);
+    } else {
+      edges.AddEdge(v, hub);
+    }
+  }
+  for (graph::VertexId i = 0; i < leaves / 4; ++i) edges.AddEdge(hub, hub);
+  return edges;
+}
+
+constexpr std::pair<EdgeDirection, EdgeDirection> kDirectionPairs[] = {
+    {EdgeDirection::kIn, EdgeDirection::kOut},
+    {EdgeDirection::kOut, EdgeDirection::kIn},
+    {EdgeDirection::kBoth, EdgeDirection::kBoth},
+    {EdgeDirection::kBoth, EdgeDirection::kNone},
+    {EdgeDirection::kBoth, EdgeDirection::kOut},
+};
+
+template <typename T>
+void ExpectSameField(const std::vector<T>& got, const std::vector<T>& want,
+                     const char* field) {
+  ASSERT_EQ(got.size(), want.size()) << field;
+  const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+  EXPECT_TRUE(diff.first == got.end())
+      << field << " differs at " << (diff.first - got.begin());
+}
+
+void ExpectPlansIdentical(const ExecutionPlan& got,
+                          const ExecutionPlan& want) {
+  EXPECT_EQ(got.dg, want.dg);
+  EXPECT_EQ(got.gather_dir, want.gather_dir);
+  EXPECT_EQ(got.scatter_dir, want.scatter_dir);
+  ExpectSameField(got.masks.replicas, want.masks.replicas, "replicas");
+  ExpectSameField(got.masks.in_edges, want.masks.in_edges, "in_edges");
+  ExpectSameField(got.masks.out_edges, want.masks.out_edges, "out_edges");
+  ExpectSameField(got.masks.master_machine, want.masks.master_machine,
+                  "master_machine");
+  ExpectSameField(got.gather_offsets, want.gather_offsets, "gather_offsets");
+  ExpectSameField(got.gather_nbr, want.gather_nbr, "gather_nbr");
+  ExpectSameField(got.scatter_offsets, want.scatter_offsets,
+                  "scatter_offsets");
+  ExpectSameField(got.scatter_target, want.scatter_target, "scatter_target");
+  ExpectSameField(got.gather_run_offsets, want.gather_run_offsets,
+                  "gather_run_offsets");
+  ExpectSameField(got.gather_runs, want.gather_runs, "gather_runs");
+  ExpectSameField(got.scatter_run_offsets, want.scatter_run_offsets,
+                  "scatter_run_offsets");
+  ExpectSameField(got.scatter_runs, want.scatter_runs, "scatter_runs");
+  ExpectSameField(got.gather_partition_count, want.gather_partition_count,
+                  "gather_partition_count");
+  ExpectSameField(got.scatter_partition_count, want.scatter_partition_count,
+                  "scatter_partition_count");
+}
+
+ExecutionPlan BuildAt(const partition::DistributedGraph& dg,
+                      std::pair<EdgeDirection, EdgeDirection> dirs,
+                      bool graphx_counts, uint32_t threads) {
+  return ExecutionPlan::Build(dg, dirs.first, dirs.second, graphx_counts,
+                              threads);
+}
+
+TEST(ExecutionPlanTest, BuildIsThreadCountInvariant) {
+  const std::pair<std::string, graph::EdgeList> graphs[] = {
+      {"heavy-tailed",
+       graph::GenerateHeavyTailed(
+           {.num_vertices = 3000, .edges_per_vertex = 8, .seed = 13})},
+      {"hub star", HubStar(20000)},
+      {"edgeless", graph::EdgeList("edgeless", 50, {})},
+  };
+  for (const auto& [name, edges] : graphs) {
+    SCOPED_TRACE(name);
+    sim::Cluster cluster(kMachines, sim::CostModel{});
+    const IngestResult ingest = Partition(edges, cluster);
+    const partition::DistributedGraph& dg = ingest.graph;
+    for (const auto& dirs : kDirectionPairs) {
+      for (const bool graphx_counts : {false, true}) {
+        SCOPED_TRACE("directions " + std::to_string(int(dirs.first)) + "/" +
+                     std::to_string(int(dirs.second)) +
+                     (graphx_counts ? " graphx" : ""));
+        const ExecutionPlan serial = BuildAt(dg, dirs, graphx_counts, 1);
+        for (uint32_t threads : {2u, 3u, 8u}) {
+          SCOPED_TRACE("threads=" + std::to_string(threads));
+          ExpectPlansIdentical(BuildAt(dg, dirs, graphx_counts, threads),
+                               serial);
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecutionPlanTest, AdjacencyFollowsEdgeOrder) {
+  // A self-loop and a duplicate edge, both kept by AddEdge.
+  graph::EdgeList hand;
+  for (const auto& [src, dst] : std::vector<std::pair<int, int>>{
+           {0, 1}, {1, 2}, {2, 2}, {2, 0}, {0, 1}, {3, 1}, {1, 3}, {4, 0},
+           {3, 4}, {2, 4}}) {
+    hand.AddEdge(src, dst);
+  }
+  const std::pair<std::string, graph::EdgeList> graphs[] = {
+      {"hand", hand},
+      {"power-law", PowerLawGraph()},
+      {"heavy-tailed",
+       graph::GenerateHeavyTailed(
+           {.num_vertices = 3000, .edges_per_vertex = 8, .seed = 13})},
+  };
+  for (const auto& [name, edges] : graphs) {
+    SCOPED_TRACE(name);
+    sim::Cluster cluster(kMachines, sim::CostModel{});
+    const IngestResult ingest = Partition(edges, cluster);
+    const partition::DistributedGraph& dg = ingest.graph;
+    const ExecutionPlan plan =
+        BuildAt(dg, {EdgeDirection::kBoth, EdgeDirection::kBoth},
+                /*graphx_counts=*/false, 8);
+
+    // The oracle never reads the plan: one scan of the edges in order,
+    // appending gather in, gather out, scatter out, scatter in.
+    std::vector<std::vector<graph::VertexId>> gather(dg.num_vertices);
+    std::vector<std::vector<graph::VertexId>> scatter(dg.num_vertices);
+    for (const graph::Edge& e : dg.edges) {
+      gather[e.dst].push_back(e.src);
+      gather[e.src].push_back(e.dst);
+      scatter[e.src].push_back(e.dst);
+      scatter[e.dst].push_back(e.src);
+    }
+    for (graph::VertexId v = 0; v < dg.num_vertices; ++v) {
+      const std::vector<graph::VertexId> plan_gather(
+          plan.gather_nbr.begin() + plan.gather_offsets[v],
+          plan.gather_nbr.begin() + plan.gather_offsets[v + 1]);
+      const std::vector<graph::VertexId> plan_scatter(
+          plan.scatter_target.begin() + plan.scatter_offsets[v],
+          plan.scatter_target.begin() + plan.scatter_offsets[v + 1]);
+      ASSERT_EQ(plan_gather, gather[v]) << "v=" << v;
+      ASSERT_EQ(plan_scatter, scatter[v]) << "v=" << v;
+    }
+  }
 }
 
 }  // namespace

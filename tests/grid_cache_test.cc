@@ -303,15 +303,15 @@ TEST(PlanCacheTest, ReturnsOnePlanPerShape) {
   engine::PlanCache plans(ingest.graph);
   std::shared_ptr<const engine::ExecutionPlan> a =
       plans.Get(engine::EdgeDirection::kIn, engine::EdgeDirection::kOut,
-                /*graphx_counts=*/false);
+                /*graphx_counts=*/false, /*num_threads=*/0);
   std::shared_ptr<const engine::ExecutionPlan> b =
       plans.Get(engine::EdgeDirection::kIn, engine::EdgeDirection::kOut,
-                /*graphx_counts=*/false);
+                /*graphx_counts=*/false, /*num_threads=*/0);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(plans.num_plans(), 1u);
   std::shared_ptr<const engine::ExecutionPlan> c =
       plans.Get(engine::EdgeDirection::kBoth, engine::EdgeDirection::kBoth,
-                /*graphx_counts=*/false);
+                /*graphx_counts=*/false, /*num_threads=*/0);
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(plans.num_plans(), 2u);
 
@@ -326,7 +326,7 @@ TEST(PlanCacheTest, ReturnsOnePlanPerShape) {
   cluster.Restore(snapshot);
   std::shared_ptr<const engine::ExecutionPlan> pr_plan =
       plans.Get(apps::PageRankApp::kGatherDir, apps::PageRankApp::kScatterDir,
-                /*graphx_counts=*/false);
+                /*graphx_counts=*/false, /*num_threads=*/0);
   auto run = engine::RunGasEngine(engine::EngineKind::kPowerGraphSync,
                                   *pr_plan, cluster, apps::PageRankFixed(),
                                   run_options);

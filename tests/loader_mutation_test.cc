@@ -1,6 +1,7 @@
 // Seeded mutation tests for the three on-disk loaders: EdgeBlockStore's
 // DeserializeFrom (plus Validate), partition::LoadPlacement and
-// graph::LoadEdgeList. Each starts from a small valid file and derives
+// graph::LoadEdgeList, and for obs::ParseJson, the parser that reads
+// exported Chrome traces back. Each starts from a small valid file and derives
 // fixed-seed mutants with util::Mix64: single-byte flips, truncations, and
 // either a random 64-bit value written over an 8-byte-aligned field (block
 // store) or an inserted 12-digit number (the two text formats). Every
@@ -17,12 +18,16 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 
 #include "graph/edge_block_store.h"
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "harness/experiment.h"
+#include "obs/chrome_trace.h"
+#include "obs/trace.h"
 #include "partition/placement_io.h"
 #include "util/hash.h"
 
@@ -209,6 +214,61 @@ TEST(LoaderMutation, EdgeListMutantsLoadOrFailWithStatus) {
   std::printf("edge list mutants: %d rejected, %d loaded\n",
               kMutants - loaded, loaded);
   std::remove(path.c_str());
+}
+
+TEST(LoaderMutation, ChromeTraceJsonMutantsParseOrFailWithStatus) {
+  // A real export: ingress and superstep spans from a short traced run,
+  // with their integer args.
+  obs::TraceRecorder trace;
+  harness::ExperimentSpec spec;
+  spec.num_machines = 3;
+  spec.app = harness::AppKind::kPageRankFixed;
+  spec.max_iterations = 2;
+  spec.exec.num_threads = 1;
+  spec.exec.trace = &trace;
+  harness::RunExperiment(
+      graph::GenerateHeavyTailed(
+          {.num_vertices = 40, .edges_per_vertex = 3, .seed = 9}),
+      spec);
+  // Wall-clock fields differ from run to run; fixing them makes every run
+  // derive the same mutants.
+  const std::string valid =
+      std::regex_replace(obs::ToChromeTraceJson(trace),
+                         std::regex(R"re("(ts|dur)":[^,]+)re"), "\"$1\":0");
+  ASSERT_TRUE(obs::ValidateChromeTraceJson(valid).ok());
+  ASSERT_NE(valid.find("\"memory_bytes\":"), std::string::npos);
+
+  MixStream rng(0x75ace);
+  constexpr int kMutants = 500;
+  int parsed = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text = MutateText(valid, rng);
+    EXPECT_NO_THROW({
+      util::StatusOr<obs::JsonValue> mutant = obs::ParseJson(text);
+      if (mutant.ok()) {
+        ++parsed;
+      } else {
+        EXPECT_EQ(mutant.status().code(), util::StatusCode::kInvalidArgument)
+            << "mutant " << i << ": " << mutant.status().ToString();
+      }
+    }) << "mutant " << i;
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, kMutants);
+  std::printf("trace JSON mutants: %d rejected, %d parsed\n",
+              kMutants - parsed, parsed);
+}
+
+TEST(LoaderMutation, JsonNestingCapHoldsAtItsBoundary) {
+  // The root is depth 0 and the parser refuses depths past 64, so 65
+  // nested arrays are the deepest document it accepts.
+  auto nested = [](int levels) {
+    return std::string(levels, '[') + std::string(levels, ']');
+  };
+  EXPECT_TRUE(obs::ParseJson(nested(65)).ok());
+  const util::StatusOr<obs::JsonValue> too_deep = obs::ParseJson(nested(66));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

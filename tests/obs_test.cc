@@ -652,9 +652,12 @@ TEST(ObsCacheStatsTest, PlanCacheCountsHitsAndMisses) {
 
   engine::PlanCache cache(ingest.graph);
   EXPECT_EQ(cache.stats().hits, 0u);
-  cache.Get(engine::EdgeDirection::kIn, engine::EdgeDirection::kOut, false);
-  cache.Get(engine::EdgeDirection::kIn, engine::EdgeDirection::kOut, false);
-  cache.Get(engine::EdgeDirection::kOut, engine::EdgeDirection::kIn, false);
+  cache.Get(engine::EdgeDirection::kIn, engine::EdgeDirection::kOut, false,
+            /*num_threads=*/0);
+  cache.Get(engine::EdgeDirection::kIn, engine::EdgeDirection::kOut, false,
+            /*num_threads=*/0);
+  cache.Get(engine::EdgeDirection::kOut, engine::EdgeDirection::kIn, false,
+            /*num_threads=*/0);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);

@@ -104,7 +104,7 @@ TEST(ServingSchedulerTest, ResultsInvariantAcrossThreadCounts) {
 
   std::vector<serving::ServeResult> results;
   std::vector<std::vector<obs::MetricsRegistry::Sample>> snapshots;
-  for (uint32_t threads : {1u, 2u, 8u}) {
+  for (uint32_t threads : {1u, 2u, 8u, 0u}) {
     serving::ServerOptions options;
     options.num_threads = threads;
     serving::QueryServer server(Fleet(a, b), options);
@@ -403,7 +403,8 @@ TEST(PartitionCacheEvictionTest, SharedPtrPinsEvictedEntry) {
   EXPECT_EQ(pinned->ingest.graph.num_machines, kMachines);
   EXPECT_FALSE(pinned->post_ingress.machines.empty());
   auto plan = pinned->plans->Get(engine::EdgeDirection::kBoth,
-                                 engine::EdgeDirection::kBoth, false);
+                                 engine::EdgeDirection::kBoth, false,
+                                 /*num_threads=*/0);
   EXPECT_NE(plan, nullptr);
 }
 
@@ -450,17 +451,17 @@ TEST(PlanCacheEvictionTest, EvictsOldestPlanBeyondBudget) {
   engine::PlanCache plans(ingest.graph);
   std::shared_ptr<const engine::ExecutionPlan> first =
       plans.Get(engine::EdgeDirection::kBoth, engine::EdgeDirection::kBoth,
-                false);
+                false, /*num_threads=*/0);
   const uint64_t one_plan = plans.resident_bytes();
   ASSERT_GT(one_plan, 0u);
 
   // Budget for roughly one plan: each new shape evicts the previous one.
   plans.set_byte_budget(one_plan + one_plan / 2);
   (void)plans.Get(engine::EdgeDirection::kIn, engine::EdgeDirection::kOut,
-                  false);
+                  false, /*num_threads=*/0);
   EXPECT_LE(plans.resident_bytes(), one_plan + one_plan / 2);
   (void)plans.Get(engine::EdgeDirection::kOut, engine::EdgeDirection::kIn,
-                  false);
+                  false, /*num_threads=*/0);
   EXPECT_LE(plans.resident_bytes(), one_plan + one_plan / 2);
   EXPECT_LT(plans.num_plans(), 3u);
   EXPECT_EQ(plans.stats().misses, 3u);
@@ -469,7 +470,7 @@ TEST(PlanCacheEvictionTest, EvictsOldestPlanBeyondBudget) {
   // is a fresh miss.
   EXPECT_EQ(first->dg, &ingest.graph);
   (void)plans.Get(engine::EdgeDirection::kBoth, engine::EdgeDirection::kBoth,
-                  false);
+                  false, /*num_threads=*/0);
   EXPECT_EQ(plans.stats().misses, 4u);
 
   bool saw_evictions = false;

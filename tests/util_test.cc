@@ -545,5 +545,10 @@ TEST(ThreadPoolTest, DefaultThreadCountIsClamped) {
   EXPECT_LE(count, 16u);
 }
 
+TEST(ThreadPoolTest, ZeroMeansDefaultThreadCount) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.num_threads(), ThreadPool::DefaultThreadCount());
+}
+
 }  // namespace
 }  // namespace gdp::util
