@@ -11,14 +11,17 @@
 //     (always checked; algorithmic, needs no cores).
 //  3. HDRF's incrementally-maintained min/max load matches the per-edge
 //     O(P) scan's placements exactly (always checked; speedup reported).
-//  4. Parallel ingress: >= 3x wall-clock speedup at 8 threads on power-law
-//     graphs (checked only when the host has >= 8 hardware threads;
-//     printed as an explicit skip otherwise).
+//  4. Parallel ingress scales on power-law graphs: evaluated at
+//     T = min(8, hardware threads) lanes whenever T >= 4 — >= 3x wall-clock
+//     speedup over 1 thread at 8 threads, >= 2x below 8. Each thread count
+//     is timed as the median of 3 runs. Printed as an explicit skip on
+//     hosts with fewer than 4 hardware threads.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -35,6 +38,8 @@ using partition::MachineId;
 
 constexpr uint32_t kMachines = 9;
 constexpr uint32_t kLoaders = 16;
+/// Timed runs per thread count; the scaling table reports their median.
+constexpr int kTimedRuns = 3;
 
 partition::PartitionContext MakeContext(graph::VertexId vertices) {
   partition::PartitionContext context;
@@ -114,7 +119,7 @@ bool SnapshotsIdentical(const RunSnapshot& a, const RunSnapshot& b) {
 // ---------------------------------------------------------------------------
 
 MachineId LeastLoadedVec(const std::vector<MachineId>& candidates,
-                         const std::vector<uint64_t>& load,
+                         const util::LineVector<uint64_t>& load,
                          util::SplitMix64& rng) {
   uint64_t best = std::numeric_limits<uint64_t>::max();
   uint32_t ties = 0;
@@ -260,12 +265,18 @@ int main() {
       {.num_vertices = 50000, .edges_per_vertex = 14, .seed = 0x7F});
   twitter.set_name("Twitter");
 
+  // Claim 4 runs at the widest lane count the host can serve, up to 8.
+  const uint32_t claim_threads = std::min(8u, hw_threads);
+  const double claim_speedup = claim_threads >= 8 ? 3.0 : 2.0;
+  std::set<uint32_t> thread_counts = {1u, 2u, 4u, 8u};
+  if (claim_threads >= 4) thread_counts.insert(claim_threads);
+
   // ---- Claim 1: bit-identity vs the serial reference. --------------------
   bool identical = true;
   // ---- Claim 4 data: wall-clock scaling. ---------------------------------
   util::Table scaling({"strategy", "threads", "ingress wall(ms)", "speedup",
                        "== reference"});
-  double speedup_at_8[2] = {0, 0};
+  double claim_speedup_measured[2] = {0, 0};
   const partition::StrategyKind kinds[2] = {
       partition::StrategyKind::kOblivious, partition::StrategyKind::kHdrf};
   const char* names[2] = {"Oblivious", "HDRF"};
@@ -273,18 +284,27 @@ int main() {
     RunSnapshot reference =
         RunOnce(twitter, kinds[k], /*num_threads=*/1, /*reference=*/true);
     double wall_at_1 = 0;
-    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      RunSnapshot run =
-          RunOnce(twitter, kinds[k], threads, /*reference=*/false);
-      const bool same = SnapshotsIdentical(reference, run);
+    for (uint32_t threads : thread_counts) {
+      std::vector<double> walls;
+      bool same = true;
+      for (int run_index = 0; run_index < kTimedRuns; ++run_index) {
+        RunSnapshot run =
+            RunOnce(twitter, kinds[k], threads, /*reference=*/false);
+        same = same && SnapshotsIdentical(reference, run);
+        walls.push_back(run.wall_seconds);
+      }
+      std::sort(walls.begin(), walls.end());
+      const double wall = walls[walls.size() / 2];
       if (threads == 1 || threads == 2 || threads == 8) {
         identical = identical && same;
       }
-      if (threads == 1) wall_at_1 = run.wall_seconds;
-      if (threads == 8) speedup_at_8[k] = wall_at_1 / run.wall_seconds;
+      if (threads == 1) wall_at_1 = wall;
+      if (threads == claim_threads) {
+        claim_speedup_measured[k] = wall_at_1 / wall;
+      }
       scaling.AddRow({names[k], std::to_string(threads),
-                      util::Table::Num(run.wall_seconds * 1e3),
-                      util::Table::Num(wall_at_1 / run.wall_seconds),
+                      util::Table::Num(wall * 1e3),
+                      util::Table::Num(wall_at_1 / wall),
                       same ? "yes" : "NO"});
     }
   }
@@ -315,8 +335,9 @@ int main() {
 
   bench::Metric("oblivious_kernel_speedup_x", obl_speedup);
   bench::Metric("hdrf_kernel_speedup_x", hdrf_speedup);
-  bench::Metric("ingress_speedup_8t_oblivious_x", speedup_at_8[0]);
-  bench::Metric("ingress_speedup_8t_hdrf_x", speedup_at_8[1]);
+  bench::Metric("ingress_claim_threads", claim_threads);
+  bench::Metric("ingress_speedup_oblivious_x", claim_speedup_measured[0]);
+  bench::Metric("ingress_speedup_hdrf_x", claim_speedup_measured[1]);
 
   // ---- Claims ----
   bool ok = true;
@@ -334,19 +355,24 @@ int main() {
       "the per-edge O(P) scan (speedup " +
           util::Table::Num(hdrf_speedup, 2) + "x)",
       hdrf_same);
-  if (hw_threads >= 8) {
+  if (claim_threads >= 4) {
     ok &= bench::Claim(
-        ">= 3x ingress wall-clock speedup at 8 threads (measured Oblivious " +
-            util::Table::Num(speedup_at_8[0], 1) + "x, HDRF " +
-            util::Table::Num(speedup_at_8[1], 1) + "x)",
-        speedup_at_8[0] >= 3.0 && speedup_at_8[1] >= 3.0);
+        ">= " + util::Table::Num(claim_speedup, 0) +
+            "x ingress wall-clock speedup at " +
+            std::to_string(claim_threads) +
+            " threads, median of " + std::to_string(kTimedRuns) +
+            " runs (measured Oblivious " +
+            util::Table::Num(claim_speedup_measured[0], 2) + "x, HDRF " +
+            util::Table::Num(claim_speedup_measured[1], 2) + "x)",
+        claim_speedup_measured[0] >= claim_speedup &&
+            claim_speedup_measured[1] >= claim_speedup);
   } else {
     // Not enough cores to demonstrate scaling here; the determinism claims
     // above still bind. Counts as reproduced-by-skip, explicitly labeled.
     ok &= bench::Claim(
-        "8-thread ingress speedup claim skipped: host has only " +
+        "ingress speedup claim skipped: host has only " +
             std::to_string(hw_threads) +
-            " hardware thread(s); rerun on >= 8 cores to evaluate",
+            " hardware thread(s); rerun on >= 4 to evaluate",
         true);
   }
   return ok ? 0 : 1;

@@ -16,6 +16,7 @@
 #include "partition/validate.h"
 #include "sim/cluster.h"
 #include "sim/phase_accumulator.h"
+#include "util/cache_line.h"
 #include "util/check.h"
 #include "util/dense_bitset.h"
 #include "util/thread_pool.h"
@@ -134,9 +135,11 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   // lanes merge and flush once per minor-step, and EndPhase converts each
   // machine's ticks to seconds with the run's work multiplier. GraphX's
   // shuffle blocks (16 ticks each) are counted per lane for the span args.
+  // Lanes write these on every vertex, so each lane's counters own whole
+  // cache lines (PhaseAccumulator's arrays, one padded slot per lane).
   std::vector<sim::PhaseAccumulator> accs(pool.num_threads());
   for (sim::PhaseAccumulator& acc : accs) acc.Reset(dg.num_machines);
-  std::vector<uint64_t> lane_blocks(pool.num_threads(), 0);
+  std::vector<util::CacheLinePadded<uint64_t>> lane_blocks(pool.num_threads());
   // Flushes the lanes' counts to the cluster; returns this minor-step's
   // {ticks, sent bytes} totals when observed (integer sums over machines —
   // identical at every lane count).
@@ -407,7 +410,7 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
                 plan.gather_partition_count[v] +
                 (signal ? plan.scatter_partition_count[v] : 0u);
             a.AddTicks(master, sim::kShuffleBlockTicks * blocks);
-            if (observed) lane_blocks[lane] += blocks;
+            if (observed) lane_blocks[lane].value += blocks;
           }
 
           // Gather messages: mirrors -> master, a round trip each (the
@@ -456,9 +459,9 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
           }
         });
     std::tie(breakdown.apply_ticks, breakdown.apply_bytes) = flush_accs();
-    for (uint64_t& blocks : lane_blocks) {
-      breakdown.graphx_blocks += blocks;
-      blocks = 0;
+    for (util::CacheLinePadded<uint64_t>& blocks : lane_blocks) {
+      breakdown.graphx_blocks += blocks.value;
+      blocks.value = 0;
     }
     const uint64_t signaled_count = signaled.CountSet();
 

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "partition/validate.h"
+#include "util/cache_line.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -200,9 +201,14 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
       internal::CutStripes(plan.gather_offsets, plan.scatter_offsets, lanes);
 
   // Every buffer is allocated here, on the calling thread; the lanes only
-  // write into it. Each center's next free slot starts at its offset.
+  // write into it. Each center's next free slot starts at its offset. Each
+  // stripe's run counts start on a line boundary and span whole lines, so
+  // no two stripes write a shared line.
   const uint32_t num_machines = dg.num_machines;
-  std::vector<uint64_t> counts(uint64_t{lanes} * num_machines, 0);
+  constexpr uint64_t kCountsPerLine = util::kCacheLineBytes / sizeof(uint64_t);
+  const uint64_t counts_stride =
+      (num_machines + kCountsPerLine - 1) / kCountsPerLine * kCountsPerLine;
+  util::LineVector<uint64_t> counts(lanes * counts_stride, 0);
   std::vector<uint64_t> gather_cursor(plan.gather_offsets.begin(),
                                       plan.gather_offsets.end() - 1);
   std::vector<uint64_t> scatter_cursor(plan.scatter_offsets.begin(),
@@ -266,7 +272,7 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
       }
     }
 
-    uint64_t* stripe_counts = counts.data() + stripe * num_machines;
+    uint64_t* stripe_counts = counts.data() + stripe * counts_stride;
     internal::CountRuns(plan.gather_offsets, gather_tags, lo, hi,
                         num_machines, stripe_counts, &plan.gather_run_offsets);
     internal::CountRuns(plan.scatter_offsets, scatter_tags, lo, hi,
@@ -291,7 +297,7 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
   pool.ParallelFor(lanes, [&](uint64_t stripe, uint32_t /*lane*/) {
     const graph::VertexId lo = cuts[stripe];
     const graph::VertexId hi = cuts[stripe + 1];
-    uint64_t* stripe_counts = counts.data() + stripe * num_machines;
+    uint64_t* stripe_counts = counts.data() + stripe * counts_stride;
     internal::FillRuns(plan.gather_offsets, gather_tags,
                        plan.gather_run_offsets, lo, hi, num_machines,
                        stripe_counts, &plan.gather_runs);

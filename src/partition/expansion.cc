@@ -208,20 +208,20 @@ void NePartitioner::PrepareForIngest(uint32_t num_loaders) {
   Partitioner::PrepareForIngest(num_loaders);
   if (buffers_.size() < num_loaders) {
     buffers_.resize(num_loaders);
-    counts_.resize(num_loaders, 0);
-    cursors_.resize(num_loaders, 0);
+    counts_.resize(num_loaders);
+    cursors_.resize(num_loaders);
   }
 }
 
 MachineId NePartitioner::Assign(const graph::Edge& e, uint32_t pass,
                                 uint32_t loader) {
   if (pass == 0) {
-    buffers_[loader].push_back(e);
-    ++counts_[loader];
+    buffers_[loader].value.push_back(e);
+    ++counts_[loader].value;
     AddWorkTicks(loader, kTicksPerWorkUnit);
     return ProvisionalPlacement(e, seed_, num_partitions_);
   }
-  const uint64_t idx = cursors_[loader]++;
+  const uint64_t idx = cursors_[loader].value++;
   AddWorkTicks(loader, kTicksPerWorkUnit + amort_quot_ +
                            (idx < amort_rem_ ? 1 : 0));
   return plan_[idx];
@@ -230,7 +230,7 @@ MachineId NePartitioner::Assign(const graph::Edge& e, uint32_t pass,
 void NePartitioner::EndPass(uint32_t pass) {
   if (pass == 0) {
     num_edges_ = 0;
-    for (uint64_t c : counts_) num_edges_ += c;
+    for (const auto& c : counts_) num_edges_ += c.value;
     std::vector<graph::Edge> all;
     all.reserve(num_edges_);
     uint64_t start = 0;
@@ -238,10 +238,11 @@ void NePartitioner::EndPass(uint32_t pass) {
       // Loader blocks are contiguous and ascending, so loader-order
       // concatenation reproduces global stream order exactly — and the
       // replay cursor of loader l starts at its block's prefix sum.
-      cursors_[l] = start;
-      start += counts_[l];
-      all.insert(all.end(), buffers_[l].begin(), buffers_[l].end());
-      buffers_[l] = {};
+      cursors_[l].value = start;
+      start += counts_[l].value;
+      all.insert(all.end(), buffers_[l].value.begin(),
+                 buffers_[l].value.end());
+      buffers_[l].value = {};
     }
     plan_.assign(num_edges_, 0);
     std::vector<uint64_t> identity(num_edges_);
@@ -262,7 +263,9 @@ void NePartitioner::EndPass(uint32_t pass) {
 
 uint64_t NePartitioner::ApproxStateBytes() const {
   uint64_t buffered = 0;
-  for (const auto& b : buffers_) buffered += b.size() * sizeof(graph::Edge);
+  for (const auto& b : buffers_) {
+    buffered += b.value.size() * sizeof(graph::Edge);
+  }
   return buffered + plan_.size() * sizeof(MachineId) +
          expander_.ApproxBytes() +
          (counts_.size() + cursors_.size()) * sizeof(uint64_t);
@@ -302,8 +305,8 @@ SnePartitioner::SnePartitioner(const PartitionContext& context)
 void SnePartitioner::PrepareForIngest(uint32_t num_loaders) {
   Partitioner::PrepareForIngest(num_loaders);
   if (counts_.size() < num_loaders) {
-    counts_.resize(num_loaders, 0);
-    cursors_.resize(num_loaders, 0);
+    counts_.resize(num_loaders);
+    cursors_.resize(num_loaders);
   }
 }
 
@@ -330,14 +333,14 @@ MachineId SnePartitioner::Assign(const graph::Edge& e, uint32_t pass,
   if (pass == 0) {
     chunk_edges_.push_back(e);
     chunk_index_.push_back(stream_pos_++);
-    ++counts_[loader];
+    ++counts_[loader].value;
     AddWorkTicks(loader, kTicksPerWorkUnit);
     if (chunk_edges_.size() >= chunk_capacity_edges_) {
       FlushChunk(loader, /*at_barrier=*/false);
     }
     return ProvisionalPlacement(e, seed_, num_partitions_);
   }
-  const uint64_t idx = cursors_[loader]++;
+  const uint64_t idx = cursors_[loader].value++;
   AddWorkTicks(loader, kTicksPerWorkUnit + amort_quot_ +
                            (idx < amort_rem_ ? 1 : 0));
   return plan_[idx];
@@ -354,8 +357,8 @@ void SnePartitioner::EndPass(uint32_t pass) {
     amort_rem_ = amort.remainder;
     uint64_t start = 0;
     for (uint32_t l = 0; l < counts_.size(); ++l) {
-      cursors_[l] = start;
-      start += counts_[l];
+      cursors_[l].value = start;
+      start += counts_[l].value;
     }
     chunk_edges_ = {};
     chunk_index_ = {};

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "partition/partitioner.h"
+#include "util/cache_line.h"
 #include "util/dense_bitset.h"
 #include "util/min_heap.h"
 
@@ -107,9 +108,12 @@ class NePartitioner final : public Partitioner {
   uint32_t num_partitions_;
   uint64_t seed_;
   NeExpander expander_;
-  std::vector<std::vector<graph::Edge>> buffers_;  ///< per loader, pass 0
-  std::vector<uint64_t> counts_;                   ///< pass-0 edges per loader
-  std::vector<uint64_t> cursors_;                  ///< pass-1 replay cursors
+  /// Per-loader slots, one cache line each (a loader writes its slots on
+  /// every edge): pass-0 edge buffers, pass-0 edge counts and pass-1 replay
+  /// cursors.
+  std::vector<util::CacheLinePadded<std::vector<graph::Edge>>> buffers_;
+  std::vector<util::CacheLinePadded<uint64_t>> counts_;
+  std::vector<util::CacheLinePadded<uint64_t>> cursors_;
   std::vector<MachineId> plan_;
   uint64_t num_edges_ = 0;
   /// Expansion ticks amortized over pass-1 Assign calls (quotient +
@@ -153,8 +157,10 @@ class SnePartitioner final : public Partitioner {
   NeExpander expander_;
   std::vector<graph::Edge> chunk_edges_;
   std::vector<uint64_t> chunk_index_;  ///< global stream positions
-  std::vector<uint64_t> counts_;       ///< pass-0 edges per loader
-  std::vector<uint64_t> cursors_;      ///< pass-1 replay cursors
+  /// Per-loader slots, one cache line each: pass-0 edge counts and pass-1
+  /// replay cursors.
+  std::vector<util::CacheLinePadded<uint64_t>> counts_;
+  std::vector<util::CacheLinePadded<uint64_t>> cursors_;
   std::vector<MachineId> plan_;
   uint64_t stream_pos_ = 0;  ///< pass-0 global position (pass 0 is serial)
   uint64_t num_edges_ = 0;

@@ -91,7 +91,7 @@ namespace {
 /// when no bit is set.
 template <typename WordFn>
 bool LeastLoadedOverWords(uint32_t num_words, WordFn&& word_at,
-                          const std::vector<uint64_t>& load,
+                          const util::LineVector<uint64_t>& load,
                           util::SplitMix64& rng, MachineId* out) {
   uint64_t best = std::numeric_limits<uint64_t>::max();
   uint32_t ties = 0;
@@ -118,7 +118,7 @@ bool LeastLoadedOverWords(uint32_t num_words, WordFn&& word_at,
 }
 
 MachineId LeastLoadedAll(uint32_t num_partitions,
-                         const std::vector<uint64_t>& load,
+                         const util::LineVector<uint64_t>& load,
                          util::SplitMix64& rng) {
   uint64_t best = std::numeric_limits<uint64_t>::max();
   uint32_t ties = 0;

@@ -5,6 +5,7 @@
 
 #include "partition/partitioner.h"
 #include "partition/replica_table.h"
+#include "util/cache_line.h"
 #include "util/random.h"
 
 namespace gdp::partition {
@@ -13,13 +14,15 @@ namespace gdp::partition {
 /// Oblivious deliberately does *not* share assignment state between loading
 /// machines ("each machine is oblivious to the assignments made by the
 /// other machines", §5.2.2), so each loader has its own replica view, load
-/// counters, and — for HDRF — partial-degree counters.
-struct LoaderState {
+/// counters, and — for HDRF — partial-degree counters. A loader updates its
+/// state on every edge, so the struct and its load array own whole cache
+/// lines.
+struct alignas(util::kCacheLineBytes) LoaderState {
   LoaderState(graph::VertexId num_vertices, uint32_t num_partitions,
               uint64_t seed, bool track_degrees);
 
   ReplicaTable replicas;
-  std::vector<uint64_t> machine_load;  ///< edges this loader sent per machine
+  util::LineVector<uint64_t> machine_load;  ///< edges sent per machine
   std::vector<uint32_t> partial_degree;
   util::SplitMix64 rng;
   /// Distinct vertices this loader has placed so far; the real systems keep
@@ -48,6 +51,7 @@ struct LoaderState {
 
   uint64_t ApproxBytes() const;
 };
+static_assert(alignof(LoaderState) >= util::kCacheLineBytes);
 
 /// Base for Oblivious and HDRF: owns per-loader state and the shared
 /// tie-breaking helpers.

@@ -38,10 +38,10 @@ void HepPartitioner::PrepareForIngest(uint32_t num_loaders) {
   }
   if (low_buffers_.size() < num_loaders) {
     low_buffers_.resize(num_loaders);
-    edge_counts_.resize(num_loaders, 0);
-    low_counts_.resize(num_loaders, 0);
-    low_cursors_.resize(num_loaders, 0);
-    all_cursors_.resize(num_loaders, 0);
+    edge_counts_.resize(num_loaders);
+    low_counts_.resize(num_loaders);
+    low_cursors_.resize(num_loaders);
+    all_cursors_.resize(num_loaders);
   }
 }
 
@@ -58,7 +58,7 @@ MachineId HepPartitioner::DegreeHash(const graph::Edge& e) const {
 MachineId HepPartitioner::Assign(const graph::Edge& e, uint32_t pass,
                                  uint32_t loader) {
   if (pass == 0) {
-    ++edge_counts_[loader];
+    ++edge_counts_[loader].value;
     ++DegreeCell(loader, e.src);
     ++DegreeCell(loader, e.dst);
     AddWorkTicks(loader, 24);  // 1.2 units: two counter updates + hash
@@ -66,8 +66,8 @@ MachineId HepPartitioner::Assign(const graph::Edge& e, uint32_t pass,
   }
   if (pass == 1) {
     if (IsLowEdge(e)) {
-      low_buffers_[loader].push_back(e);
-      ++low_counts_[loader];
+      low_buffers_[loader].value.push_back(e);
+      ++low_counts_[loader].value;
       AddWorkTicks(loader, kTicksPerWorkUnit);
       return kKeepPlacement;  // expanded at the barrier, replayed in pass 2
     }
@@ -75,10 +75,10 @@ MachineId HepPartitioner::Assign(const graph::Edge& e, uint32_t pass,
     return DegreeHash(e);
   }
   GDP_CHECK_EQ(pass, 2u);
-  const uint64_t global_index = all_cursors_[loader]++;
+  const uint64_t global_index = all_cursors_[loader].value++;
   AddWorkTicks(loader, 10 + amort_.ForIndex(global_index));
   if (!IsLowEdge(e)) return kKeepPlacement;
-  return plan_[low_cursors_[loader]++];
+  return plan_[low_cursors_[loader].value++];
 }
 
 void HepPartitioner::EndPass(uint32_t pass) {
@@ -87,8 +87,8 @@ void HepPartitioner::EndPass(uint32_t pass) {
       for (size_t v = 0; v < degree_.size(); ++v) degree_[v] += shard[v];
     }
     degree_shards_.clear();
-    num_edges_ = std::accumulate(edge_counts_.begin(), edge_counts_.end(),
-                                 uint64_t{0});
+    num_edges_ = 0;
+    for (const auto& c : edge_counts_) num_edges_ += c.value;
     if (memory_budget_bytes_ == 0) {
       // Unconstrained: HEP's default tau = 4 * average degree.
       const uint64_t avg = 2 * num_edges_ / degree_.size();
@@ -127,19 +127,20 @@ void HepPartitioner::EndPass(uint32_t pass) {
     // ascending), so concatenation reproduces the low-edge subsequence.
     uint64_t num_low = 0;
     for (uint32_t l = 0; l < low_buffers_.size(); ++l) {
-      low_cursors_[l] = num_low;
-      num_low += low_counts_[l];
+      low_cursors_[l].value = num_low;
+      num_low += low_counts_[l].value;
     }
     uint64_t pos = 0;
     for (uint32_t l = 0; l < edge_counts_.size(); ++l) {
-      all_cursors_[l] = pos;
-      pos += edge_counts_[l];
+      all_cursors_[l].value = pos;
+      pos += edge_counts_[l].value;
     }
     std::vector<graph::Edge> low_edges;
     low_edges.reserve(num_low);
-    for (std::vector<graph::Edge>& buffer : low_buffers_) {
-      low_edges.insert(low_edges.end(), buffer.begin(), buffer.end());
-      buffer = {};
+    for (auto& buffer : low_buffers_) {
+      low_edges.insert(low_edges.end(), buffer.value.begin(),
+                       buffer.value.end());
+      buffer.value = {};
     }
     plan_.assign(num_low, 0);
     if (num_low > 0) {
@@ -157,8 +158,8 @@ void HepPartitioner::EndPass(uint32_t pass) {
 
 uint64_t HepPartitioner::ApproxStateBytes() const {
   uint64_t buffered = 0;
-  for (const std::vector<graph::Edge>& buffer : low_buffers_) {
-    buffered += buffer.size() * sizeof(graph::Edge);
+  for (const auto& buffer : low_buffers_) {
+    buffered += buffer.value.size() * sizeof(graph::Edge);
   }
   return degree_.size() * sizeof(uint32_t) + buffered +
          plan_.size() * sizeof(MachineId) + expander_.ApproxBytes() +

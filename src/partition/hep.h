@@ -6,6 +6,7 @@
 
 #include "partition/expansion.h"
 #include "partition/partitioner.h"
+#include "util/cache_line.h"
 
 namespace gdp::partition {
 
@@ -74,11 +75,15 @@ class HepPartitioner final : public Partitioner {
   std::vector<std::vector<uint32_t>> degree_shards_;
 
   NeExpander expander_;
-  std::vector<std::vector<graph::Edge>> low_buffers_;  ///< per loader, pass 1
-  std::vector<uint64_t> edge_counts_;  ///< pass-0 edges per loader
-  std::vector<uint64_t> low_counts_;   ///< pass-1 low edges per loader
-  std::vector<uint64_t> low_cursors_;  ///< pass-2 plan replay cursors
-  std::vector<uint64_t> all_cursors_;  ///< pass-2 global stream cursors
+  /// Per-loader slots, one cache line each (a loader writes its slots on
+  /// every edge): pass-1 low-edge buffers, pass-0 edge counts, pass-1
+  /// low-edge counts, pass-2 plan replay cursors and pass-2 global stream
+  /// cursors.
+  std::vector<util::CacheLinePadded<std::vector<graph::Edge>>> low_buffers_;
+  std::vector<util::CacheLinePadded<uint64_t>> edge_counts_;
+  std::vector<util::CacheLinePadded<uint64_t>> low_counts_;
+  std::vector<util::CacheLinePadded<uint64_t>> low_cursors_;
+  std::vector<util::CacheLinePadded<uint64_t>> all_cursors_;
   std::vector<MachineId> plan_;
   /// Expansion ticks amortized over pass-2 Assign calls by global index.
   AmortizedTicks amort_;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "partition/partitioner.h"
+#include "util/cache_line.h"
 
 namespace gdp::partition {
 
@@ -101,10 +102,13 @@ class HybridGingerPartitioner final : public HybridPartitioner {
                        : edge_shards_[loader - 1].partition_edges[p];
   }
 
-  struct EdgeCountShard {
+  /// One loader's pass-0 counters, bumped on every edge: the struct and
+  /// its array own whole cache lines.
+  struct alignas(util::kCacheLineBytes) EdgeCountShard {
     uint64_t total_edges = 0;
-    std::vector<uint64_t> partition_edges;
+    util::LineVector<uint64_t> partition_edges;
   };
+  static_assert(alignof(EdgeCountShard) >= util::kCacheLineBytes);
 
   graph::VertexId num_vertices_;
   uint64_t total_edges_ = 0;

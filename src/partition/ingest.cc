@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "sim/phase_accumulator.h"
 #include "util/hash.h"
+#include "util/cache_line.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -20,11 +21,13 @@ namespace {
 /// (not by pool lane): which lane runs a loader is scheduling-dependent,
 /// the loader index is not. All counters are integers, so the pass-barrier
 /// merge (in loader order) is independent of execution interleaving —
-/// the basis of the bit-identical-at-any-thread-count contract.
-struct LoaderScratch {
-  sim::PhaseAccumulator acc;                 ///< work ticks + send/recv bytes
-  std::vector<uint64_t> alloc_bytes;         ///< edge-record allocations
-  std::vector<uint64_t> deferred_free_bytes; ///< moved edges' old copies
+/// the basis of the bit-identical-at-any-thread-count contract. Loaders
+/// write their scratch on every edge, so each one's struct and arrays own
+/// whole cache lines.
+struct alignas(util::kCacheLineBytes) LoaderScratch {
+  sim::PhaseAccumulator acc;                      ///< ticks + send/recv bytes
+  util::LineVector<uint64_t> alloc_bytes;         ///< edge-record allocations
+  util::LineVector<uint64_t> deferred_free_bytes; ///< moved edges' old copies
   uint64_t edges_moved = 0;
 
   void Reset(uint32_t num_machines) {
@@ -34,6 +37,7 @@ struct LoaderScratch {
     edges_moved = 0;
   }
 };
+static_assert(alignof(LoaderScratch) >= util::kCacheLineBytes);
 
 /// Finalize scratch for one contiguous edge-range shard. Bitset OR and
 /// integer addition commute, so the merged tables/counters are independent
@@ -42,7 +46,7 @@ struct TableShard {
   ReplicaTable replicas;
   ReplicaTable in_parts;
   ReplicaTable out_parts;
-  std::vector<uint64_t> edge_count;
+  util::LineVector<uint64_t> edge_count;  ///< bumped per edge
 };
 
 /// Vertices per master-selection stripe. Stripes write disjoint vertex
@@ -474,12 +478,12 @@ IngestResult IngestImpl(Source& source, Partitioner& partitioner,
       kMasterStripe;
   std::vector<uint64_t> stripe_replica_total(num_stripes, 0);
   std::vector<uint64_t> stripe_present_count(num_stripes, 0);
-  std::vector<std::vector<uint64_t>> stripe_replica_bytes(
-      num_stripes, std::vector<uint64_t>(num_machines, 0));
+  std::vector<util::LineVector<uint64_t>> stripe_replica_bytes(
+      num_stripes, util::LineVector<uint64_t>(num_machines, 0));
   auto run_stripe = [&](uint64_t stripe) {
     uint64_t replica_total = 0;
     uint64_t present_count = 0;
-    std::vector<uint64_t>& replica_bytes = stripe_replica_bytes[stripe];
+    util::LineVector<uint64_t>& replica_bytes = stripe_replica_bytes[stripe];
     const graph::VertexId begin =
         static_cast<graph::VertexId>(stripe * kMasterStripe);
     const graph::VertexId end = static_cast<graph::VertexId>(

@@ -8,6 +8,7 @@
 
 #include "graph/types.h"
 #include "sim/cluster.h"
+#include "util/cache_line.h"
 #include "util/status.h"
 
 namespace gdp::partition {
@@ -125,7 +126,7 @@ class Partitioner {
  public:
   explicit Partitioner(const PartitionContext& context)
       : context_(context),
-        work_ticks_(context.num_loaders > 0 ? context.num_loaders : 1, 0) {}
+        work_ticks_(context.num_loaders > 0 ? context.num_loaders : 1) {}
   virtual ~Partitioner() = default;
 
   const PartitionContext& context() const { return context_; }
@@ -158,7 +159,7 @@ class Partitioner {
   /// the `num_loaders` the ingestor will drive. Called once, before the
   /// first BeginPass, on one thread. Overrides must call the base.
   virtual void PrepareForIngest(uint32_t num_loaders) {
-    if (work_ticks_.size() < num_loaders) work_ticks_.resize(num_loaders, 0);
+    if (work_ticks_.size() < num_loaders) work_ticks_.resize(num_loaders);
   }
 
   /// Assigns edge `e` on `pass`; see class contract. Implementations must
@@ -180,8 +181,8 @@ class Partitioner {
   /// the last call, and resets that lane. Consumed by the Ingestor after
   /// each edge to charge the loading machine.
   uint64_t TakeAssignWorkTicks(uint32_t loader) {
-    uint64_t t = work_ticks_[loader];
-    work_ticks_[loader] = 0;
+    uint64_t t = work_ticks_[loader].value;
+    work_ticks_[loader].value = 0;
     return t;
   }
 
@@ -204,14 +205,15 @@ class Partitioner {
   /// Charges `ticks` simulated-clock ticks to `loader`'s accounting lane.
   /// Safe to call concurrently for different loaders.
   void AddWorkTicks(uint32_t loader, uint64_t ticks) {
-    work_ticks_[loader] += ticks;
+    work_ticks_[loader].value += ticks;
   }
 
  private:
   PartitionContext context_;
-  /// Per-loader work-tick lanes; sized by the context's loader count and
-  /// grown by PrepareForIngest.
-  std::vector<uint64_t> work_ticks_;
+  /// Per-loader work-tick lanes, one cache line each (every loader adds and
+  /// zeroes its lane on every edge); sized by the context's loader count
+  /// and grown by PrepareForIngest.
+  std::vector<util::CacheLinePadded<uint64_t>> work_ticks_;
 };
 
 /// Factory for any strategy. A thin wrapper over

@@ -34,7 +34,7 @@ void TwoPsPartitioner::PrepareForIngest(uint32_t num_loaders) {
   Partitioner::PrepareForIngest(num_loaders);
   if (loader_load_.size() < num_loaders) {
     loader_load_.resize(num_loaders,
-                        std::vector<uint64_t>(num_partitions_, 0));
+                        util::LineVector<uint64_t>(num_partitions_, 0));
   }
 }
 
@@ -89,7 +89,7 @@ MachineId TwoPsPartitioner::Assign(const graph::Edge& e, uint32_t pass,
   // far ahead of the alternative — then take the alternative.
   const MachineId pu = vertex_partition_[e.src];
   const MachineId pv = vertex_partition_[e.dst];
-  std::vector<uint64_t>& load = loader_load_[loader];
+  util::LineVector<uint64_t>& load = loader_load_[loader];
   MachineId chosen = pu;
   if (pu != pv) {
     MachineId preferred = pv;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "partition/partitioner.h"
+#include "util/cache_line.h"
 
 namespace gdp::partition {
 
@@ -60,8 +61,9 @@ class TwoPsPartitioner final : public Partitioner {
   // Frozen at the pass-0 barrier.
   std::vector<MachineId> vertex_partition_;
 
-  /// Pass-1 loader-sharded placement counters (loader l owns row l).
-  std::vector<std::vector<uint64_t>> loader_load_;
+  /// Pass-1 loader-sharded placement counters (loader l owns row l, on
+  /// cache lines of its own: it bumps the row on every edge).
+  std::vector<util::LineVector<uint64_t>> loader_load_;
 };
 
 }  // namespace gdp::partition

@@ -2,9 +2,9 @@
 #define GDP_SIM_PHASE_ACCUMULATOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/cluster.h"
+#include "util/cache_line.h"
 
 namespace gdp::sim {
 
@@ -12,6 +12,10 @@ namespace gdp::sim {
 /// lane (or ingress loader) counts compute ticks and sent/received bytes
 /// per machine here, and the owner merges the lanes and flushes them to the
 /// cluster on one thread at the end of the minor-step.
+///
+/// Each counter array sits on whole cache lines of its own
+/// (util::LineVector), so lanes whose accumulators were allocated back to
+/// back never write a shared line.
 ///
 /// Every count is an integer, so merge order — and therefore the lane
 /// count — never changes a flushed total. That is the whole of the
@@ -41,9 +45,10 @@ class PhaseAccumulator {
   /// Adds every machine's counts to the cluster's current phase.
   void FlushTo(Cluster& cluster) const;
 
-  uint64_t ticks(MachineId m) const { return ticks_[m]; }
-  uint64_t sent_bytes(MachineId m) const { return sent_bytes_[m]; }
-  uint64_t recv_bytes(MachineId m) const { return recv_bytes_[m]; }
+  /// Per-machine counters, by reference so their layout can be checked.
+  const uint64_t& ticks(MachineId m) const { return ticks_[m]; }
+  const uint64_t& sent_bytes(MachineId m) const { return sent_bytes_[m]; }
+  const uint64_t& recv_bytes(MachineId m) const { return recv_bytes_[m]; }
 
   /// Sum of ticks over all machines — the simulated-cost breakdown the
   /// observability spans attach (an integer, so identical at any thread
@@ -53,9 +58,9 @@ class PhaseAccumulator {
   uint64_t TotalSentBytes() const;
 
  private:
-  std::vector<uint64_t> ticks_;
-  std::vector<uint64_t> sent_bytes_;
-  std::vector<uint64_t> recv_bytes_;
+  util::LineVector<uint64_t> ticks_;
+  util::LineVector<uint64_t> sent_bytes_;
+  util::LineVector<uint64_t> recv_bytes_;
 };
 
 }  // namespace gdp::sim

@@ -417,6 +417,81 @@ inline void Spawn() { std::thread t(Work); t.join(); }  // NOLINT(no-raw-thread)
 }
 
 // ---------------------------------------------------------------------------
+// no-shared-lane-counter
+// ---------------------------------------------------------------------------
+
+TEST(LintNoSharedLaneCounter, FlagsWritesToDenseLaneArrays) {
+  LintFixture fx;
+  fx.AddFile("src/partition/dense_lanes.h", Header(R"(
+class DenseLanes {
+ public:
+  void Bump(uint32_t loader) { ++counts_[loader]; }
+  uint64_t Take(uint32_t loader) {
+    const uint64_t t = ticks_[loader];
+    ticks_[loader] = 0;
+    return t;
+  }
+  void Add(uint32_t loader, uint64_t n) { ticks_[loader] += n; }
+  uint64_t Next(uint32_t loader) { return cursors_[loader]++; }
+  void Drain(Shard& s, uint32_t lane) { --s.pending [ lane ]; }
+  void Mask(uint32_t lane, uint64_t bits) { masks_[lane] |= bits; }
+ private:
+  std::vector<uint64_t> counts_, ticks_, cursors_, masks_;
+};
+)"));
+  const auto r = fx.Run();
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  for (const char* line : {"dense_lanes.h:5", "dense_lanes.h:8",
+                           "dense_lanes.h:11", "dense_lanes.h:12",
+                           "dense_lanes.h:13", "dense_lanes.h:14"}) {
+    EXPECT_TRUE(HasFinding(r, "no-shared-lane-counter", line))
+        << line << "\n" << r.output;
+  }
+  // The read on line 7 is not a write.
+  EXPECT_FALSE(HasFinding(r, "no-shared-lane-counter", "dense_lanes.h:7"))
+      << r.output;
+}
+
+TEST(LintNoSharedLaneCounter, AllowsPaddedSlotsReadsOtherDirsAndNolint) {
+  LintFixture fx;
+  // Padded slots are written through `.value`; reads, comparisons, member
+  // calls, lambda captures and barrier loops over another index are not
+  // lane-counter writes.
+  fx.AddFile("src/partition/padded_lanes.h", Header(R"(
+class PaddedLanes {
+ public:
+  void Bump(uint32_t loader) { ++counts_[loader].value; }
+  uint64_t Next(uint32_t loader) { return cursors_[loader].value++; }
+  void Add(uint32_t lane, uint64_t n) { ticks_[lane].value += n; }
+  uint64_t Read(uint32_t lane) const { return ticks_[lane].value; }
+  bool Behind(const Load& load, uint32_t lane) const {
+    return load[lane] == 0 || load[lane] <= 4 || load[lane] >= 9 ||
+           load[lane] != 7;
+  }
+  void Charge(Accs& accs, uint32_t lane) { accs[lane].AddTicks(0, 20); }
+  void Push(uint32_t loader, Edge e) { buffers_[loader].push_back(e); }
+  auto Later(uint32_t lane) { return [lane]() { return lane; }; }
+  void Merge() {
+    for (uint32_t l = 0; l < n_; ++l) cursors_[l] = counts_[l];
+  }
+};
+)"));
+  // Outside src/ the rule does not apply, and NOLINT suppresses it.
+  fx.AddFile("tests/lanes_test.h", Header(R"(
+inline void Bump(std::vector<uint64_t>& counts, uint32_t lane) {
+  ++counts[lane];
+}
+)"));
+  fx.AddFile("src/sim/justified_lanes.h", Header(R"(
+inline void Bump(std::vector<uint64_t>& counts, uint32_t lane) {
+  ++counts[lane];  // NOLINT(no-shared-lane-counter)
+}
+)"));
+  const auto r = fx.Run();
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+// ---------------------------------------------------------------------------
 // Serving-layer shape: the bounded-queue scheduler pattern used by
 // src/serving/ — admission state guarded by an annotated mutex, latencies
 // in integer *simulated* microseconds — must pass every rule untouched,

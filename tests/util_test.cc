@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <cmath>
 #include <map>
 #include <set>
@@ -7,6 +9,8 @@
 #include <atomic>
 #include <vector>
 
+#include "sim/phase_accumulator.h"
+#include "util/cache_line.h"
 #include "util/check.h"
 #include "util/dense_bitset.h"
 #include "util/thread_pool.h"
@@ -548,6 +552,69 @@ TEST(ThreadPoolTest, DefaultThreadCountIsClamped) {
 TEST(ThreadPoolTest, ZeroMeansDefaultThreadCount) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), ThreadPool::DefaultThreadCount());
+}
+
+// ---------------------------------------------------------------------------
+// cache_line
+// ---------------------------------------------------------------------------
+
+uintptr_t Address(const void* p) { return reinterpret_cast<uintptr_t>(p); }
+
+/// Index of the cache line holding byte `p`.
+uintptr_t LineOf(const void* p) { return Address(p) / kCacheLineBytes; }
+
+TEST(CacheLineTest, PaddedSlotsStartOnTheirOwnLines) {
+  std::vector<CacheLinePadded<uint64_t>> slots(5);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i].value, 0u);
+    EXPECT_EQ(Address(&slots[i]) % kCacheLineBytes, 0u) << i;
+    if (i > 0) {
+      EXPECT_EQ(Address(&slots[i]) - Address(&slots[i - 1]), kCacheLineBytes)
+          << i;
+    }
+  }
+}
+
+TEST(CacheLineTest, AllocatorBlocksOwnWholeLines) {
+  CacheLineAllocator<uint64_t> alloc;
+  // 9 counters (72 bytes) round up to two lines, 3 (24 bytes) to one.
+  uint64_t* a = alloc.allocate(9);
+  uint64_t* b = alloc.allocate(3);
+  for (const uint64_t* p : {a, b}) {
+    EXPECT_EQ(Address(p) % kCacheLineBytes, 0u);
+  }
+  EXPECT_GE(malloc_usable_size(a), 2 * kCacheLineBytes);
+  EXPECT_GE(malloc_usable_size(b), kCacheLineBytes);
+  // Line ranges [first, first + lines) of the two live blocks are disjoint.
+  const uintptr_t a_first = LineOf(a), b_first = LineOf(b);
+  EXPECT_TRUE(a_first + 2 <= b_first || b_first + 1 <= a_first)
+      << a_first << " " << b_first;
+  alloc.deallocate(b, 3);
+  alloc.deallocate(a, 9);
+}
+
+TEST(CacheLineTest, PhaseAccumulatorLanesShareNoLine) {
+  std::vector<sim::PhaseAccumulator> accs(4);
+  for (sim::PhaseAccumulator& acc : accs) acc.Reset(9);
+  // Every line any lane's counters touch, mapped to the lane.
+  std::map<uintptr_t, size_t> owner;
+  for (size_t lane = 0; lane < accs.size(); ++lane) {
+    const sim::PhaseAccumulator& acc = accs[lane];
+    // Each array starts a line, so whatever the heap put before it ends
+    // on an earlier line.
+    for (const uint64_t* first :
+         {&acc.ticks(0), &acc.sent_bytes(0), &acc.recv_bytes(0)}) {
+      EXPECT_EQ(Address(first) % kCacheLineBytes, 0u) << "lane " << lane;
+    }
+    for (sim::MachineId m = 0; m < 9; ++m) {
+      for (const uint64_t* counter :
+           {&acc.ticks(m), &acc.sent_bytes(m), &acc.recv_bytes(m)}) {
+        const auto [it, inserted] = owner.emplace(LineOf(counter), lane);
+        EXPECT_TRUE(inserted || it->second == lane)
+            << "lanes " << it->second << " and " << lane << " share a line";
+      }
+    }
+  }
 }
 
 }  // namespace

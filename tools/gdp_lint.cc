@@ -76,6 +76,15 @@
 //                  lanes for the same cores and brings its own hand-off
 //                  protocol to get right. Static members such as
 //                  std::thread::hardware_concurrency() stay allowed.
+//   no-shared-lane-counter
+//                  src/ only: no ++, --, compound assignment or store on
+//                  `name[loader]` or `name[lane]` (prefix or postfix).
+//                  That shape writes one lane's counter inside a dense
+//                  array of per-lane words, so neighbouring lanes write the
+//                  same cache line on every edge (false sharing). Per-lane
+//                  counters live in util::CacheLinePadded slots, spelled
+//                  `name[loader].value`, or in a util::LineVector of their
+//                  own (util/cache_line.h).
 //
 // Comment and string contents — including raw string literals R"(...)" —
 // are stripped before matching, so prose and literals never trigger
@@ -502,6 +511,32 @@ void CheckRawThread(const FileText& f, std::vector<Finding>& findings) {
   }
 }
 
+/// no-shared-lane-counter: a write through `name[loader]` / `name[lane]`
+/// updates a per-lane word of a dense array, whose neighbours other lanes
+/// write concurrently. The padded slot is written as `name[loader].value`,
+/// which neither pattern matches (the prefix form refuses a trailing member
+/// access; the postfix form needs the operator right after the bracket).
+void CheckSharedLaneCounter(const FileText& f,
+                            std::vector<Finding>& findings) {
+  if (!InDir(f, "src")) return;
+  static const std::regex kWrite(
+      R"(\b\w+\s*\[\s*(?:loader|lane)\s*\]\s*)"
+      R"((?:\+\+|--|(?:<<|>>|[-+*/%&|^])?=(?!=)))"
+      R"(|(?:\+\+|--)\s*(?:\w+\s*(?:\.|->)\s*)*\w+\s*)"
+      R"(\[\s*(?:loader|lane)\s*\](?!\s*(?:\.|->|\[)))");
+  for (size_t i = 0; i < f.stripped.size(); ++i) {
+    if (HasNolint(f.raw[i])) continue;
+    if (std::regex_search(f.stripped[i], kWrite)) {
+      findings.push_back(
+          {f.rel, i + 1, "no-shared-lane-counter",
+           "per-lane counter written inside a dense lane-indexed array; "
+           "neighbouring lanes share its cache lines — use a "
+           "util::CacheLinePadded slot (name[lane].value) or a "
+           "util::LineVector per lane (util/cache_line.h)"});
+    }
+  }
+}
+
 void CheckLines(const FileText& f, const std::set<std::string>& status_fns,
                 std::vector<Finding>& findings) {
   static const std::regex kRand(R"(\b(?:std::)?s?rand\s*\()");
@@ -631,6 +666,7 @@ int main(int argc, char** argv) {
     CheckMutexAnnotated(f, findings);
     CheckPerEdgeAccounting(f, findings);
     CheckRawThread(f, findings);
+    CheckSharedLaneCounter(f, findings);
     CheckLines(f, status_fns, findings);
   }
 
