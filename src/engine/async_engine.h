@@ -54,20 +54,15 @@ GasRunResult<App> RunAsyncGasEngine(const partition::DistributedGraph& dg,
   const bool observed = observer.enabled();
 
   // The plan supplies the adjacency and the placement masks; the async
-  // loops charge per neighbor and never read its run tables. An app that
-  // scatters in the direction it gathers wakes exactly the neighbors it
-  // gathered from, so its plan skips the scatter CSR and the wake loops
-  // read the gather CSR.
-  constexpr bool kWakeFromGather = App::kScatterDir == App::kGatherDir;
-  const ExecutionPlan plan = ExecutionPlan::Build(
-      dg, App::kGatherDir,
-      kWakeFromGather ? EdgeDirection::kNone : App::kScatterDir,
-      /*graphx_counts=*/false, exec.num_threads);
+  // loops charge per neighbor and never read its run tables. The wake
+  // loops read the plan's scatter side, which an app that scatters in the
+  // direction it gathers shares with the gather side (plan.h).
+  const ExecutionPlan plan =
+      ExecutionPlan::Build(dg, App::kGatherDir, App::kScatterDir,
+                           /*graphx_counts=*/false, exec.num_threads);
   const internal::MachineMasks& masks = plan.masks;
-  const std::vector<uint64_t>& wake_offsets =
-      kWakeFromGather ? plan.gather_offsets : plan.scatter_offsets;
-  const std::vector<graph::VertexId>& wake_nbr =
-      kWakeFromGather ? plan.gather_nbr : plan.scatter_target;
+  const std::vector<uint64_t>& wake_offsets = plan.scatter_offsets();
+  const std::vector<graph::VertexId>& wake_nbr = plan.scatter_target();
   AppContext ctx{&dg.out_degree, &dg.in_degree};
 
   GasRunResult<App> result;

@@ -133,62 +133,38 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   util::ThreadPool pool(exec.num_threads);
   // Every charge is an integer tick count on a lane's accumulator; the
   // lanes merge and flush once per minor-step, and EndPhase converts each
-  // machine's ticks to seconds with the run's work multiplier. GraphX's
-  // shuffle blocks (16 ticks each) are counted per lane for the span args.
-  // Lanes write these on every vertex, so each lane's counters own whole
-  // cache lines (PhaseAccumulator's arrays, one padded slot per lane).
+  // machine's ticks to seconds with the run's work multiplier. Apply and
+  // scatter run in one pass, so each lane charges them to two accumulators
+  // (`accs` and `scatter_accs`) that flush separately, keeping the span's
+  // per-minor-step totals. Lanes write these on every vertex, so each
+  // lane's counters own whole cache lines (PhaseAccumulator's arrays, one
+  // padded slot per lane).
   std::vector<sim::PhaseAccumulator> accs(pool.num_threads());
+  std::vector<sim::PhaseAccumulator> scatter_accs(pool.num_threads());
   for (sim::PhaseAccumulator& acc : accs) acc.Reset(dg.num_machines);
-  std::vector<util::CacheLinePadded<uint64_t>> lane_blocks(pool.num_threads());
+  for (sim::PhaseAccumulator& acc : scatter_accs) acc.Reset(dg.num_machines);
+  // Counts one lane takes from its own work in the apply+scatter pass:
+  // signaled vertices, bits it turned on in the next frontier (sparse
+  // supersteps) and GraphX shuffle blocks. Integer sums over lanes, so
+  // their totals are identical at every lane count.
+  struct LaneCounts {
+    uint64_t signaled = 0;
+    uint64_t woken = 0;
+    uint64_t graphx_blocks = 0;
+  };
+  std::vector<util::CacheLinePadded<LaneCounts>> lane_counts(
+      pool.num_threads());
   // Flushes the lanes' counts to the cluster; returns this minor-step's
   // {ticks, sent bytes} totals when observed (integer sums over machines —
   // identical at every lane count).
-  auto flush_accs = [&]() -> std::pair<uint64_t, uint64_t> {
-    for (size_t i = 1; i < accs.size(); ++i) accs[0].Merge(accs[i]);
+  auto flush = [&](std::vector<sim::PhaseAccumulator>& lanes)
+      -> std::pair<uint64_t, uint64_t> {
+    for (size_t i = 1; i < lanes.size(); ++i) lanes[0].Merge(lanes[i]);
     std::pair<uint64_t, uint64_t> totals{0, 0};
-    if (observed) totals = {accs[0].TotalTicks(), accs[0].TotalSentBytes()};
-    accs[0].FlushTo(cluster);
-    for (sim::PhaseAccumulator& acc : accs) acc.Reset(dg.num_machines);
+    if (observed) totals = {lanes[0].TotalTicks(), lanes[0].TotalSentBytes()};
+    lanes[0].FlushTo(cluster);
+    for (sim::PhaseAccumulator& acc : lanes) acc.Reset(dg.num_machines);
     return totals;
-  };
-
-  // --- Frontier iteration --------------------------------------------------
-  // Sparse frontiers (fewer than 1/32 of the vertices) are materialized as a
-  // sorted index list and sharded in 1024-entry chunks; dense frontiers are
-  // scanned in place in word-aligned 4096-vertex blocks (so block-local
-  // non-atomic writes never share a word across lanes). Chunk decomposition
-  // depends only on sizes, never on the lane count.
-  std::vector<graph::VertexId> frontier_list;
-  auto for_each_frontier = [&](const util::DenseBitset& bits, uint64_t count,
-                               auto&& per_vertex) {
-    if (count == 0) return;
-    if (count * 32 < static_cast<uint64_t>(n)) {
-      frontier_list.clear();
-      bits.AppendSetBits(&frontier_list);
-      constexpr uint64_t kChunk = 1024;
-      const uint64_t total = frontier_list.size();
-      pool.ParallelFor((total + kChunk - 1) / kChunk,
-                       [&](uint64_t chunk, uint32_t lane) {
-                         const uint64_t begin = chunk * kChunk;
-                         const uint64_t end =
-                             std::min(begin + kChunk, total);
-                         for (uint64_t i = begin; i < end; ++i) {
-                           per_vertex(frontier_list[i], lane);
-                         }
-                       });
-    } else {
-      constexpr uint64_t kWords = 64;  // 4096 vertices per chunk
-      const uint64_t num_words = bits.num_words();
-      pool.ParallelFor(
-          (num_words + kWords - 1) / kWords,
-          [&](uint64_t chunk, uint32_t lane) {
-            bits.ForEachSetInWordRange(
-                chunk * kWords, std::min(num_words, (chunk + 1) * kWords),
-                [&](uint64_t v) {
-                  per_vertex(static_cast<graph::VertexId>(v), lane);
-                });
-          });
-    }
   };
 
   GasRunResult<App> result;
@@ -203,6 +179,9 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   for (graph::VertexId v = 0; v < n; ++v) {
     if (dg.present[v] && app.InitiallyActive(v)) active.Set(v);
   }
+  // The one sweep that counts a frontier: every later count comes from the
+  // work that built the frontier.
+  uint64_t active_count = active.CountSet();
 
   const double compute_start = cluster.now_seconds();
   uint64_t bytes_sent_start = cluster.TotalBytesSent();
@@ -211,8 +190,57 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     inbound_start[m] = cluster.machine(m).bytes_received();
   }
 
-  util::DenseBitset signaled(n);
   util::DenseBitset next_active(n);
+
+  // --- Frontier iteration --------------------------------------------------
+  // A sparse frontier (fewer than 1/32 of the vertices) is materialized once
+  // per superstep as a sorted index list, which gather and the
+  // apply+scatter pass both shard in 1024-entry chunks; a dense frontier is
+  // scanned in place in word-aligned 4096-vertex blocks (so block-local
+  // non-atomic writes never share a word across lanes). Chunk decomposition
+  // depends only on sizes, never on the lane count, and a single chunk runs
+  // inline on the calling thread (util::ThreadPool).
+  std::vector<graph::VertexId> frontier_list;
+  // Decides from the frontier's size alone whether it is sparse, and if so
+  // fills frontier_list from `active` — the one O(n/64) sweep of a sparse
+  // superstep.
+  auto prepare_frontier = [&](uint64_t count) {
+    const bool sparse = count * 32 < static_cast<uint64_t>(n);
+    if (sparse) {
+      frontier_list.clear();
+      active.AppendSetBits(&frontier_list);
+    }
+    return sparse;
+  };
+  // Calls per_vertex(v, lane) for every vertex of `active`, through
+  // frontier_list when prepare_frontier found it `sparse`.
+  auto for_each_frontier = [&](bool sparse, auto&& per_vertex) {
+    if (sparse) {
+      constexpr uint64_t kChunk = 1024;
+      const uint64_t total = frontier_list.size();
+      pool.ParallelFor((total + kChunk - 1) / kChunk,
+                       [&](uint64_t chunk, uint32_t lane) {
+                         const uint64_t begin = chunk * kChunk;
+                         const uint64_t end =
+                             std::min(begin + kChunk, total);
+                         for (uint64_t i = begin; i < end; ++i) {
+                           per_vertex(frontier_list[i], lane);
+                         }
+                       });
+    } else {
+      constexpr uint64_t kWords = 64;  // 4096 vertices per chunk
+      const uint64_t num_words = active.num_words();
+      pool.ParallelFor(
+          (num_words + kWords - 1) / kWords,
+          [&](uint64_t chunk, uint32_t lane) {
+            active.ForEachSetInWordRange(
+                chunk * kWords, std::min(num_words, (chunk + 1) * kWords),
+                [&](uint64_t v) {
+                  per_vertex(static_cast<graph::VertexId>(v), lane);
+                });
+          });
+    }
+  };
 
   // Activation (scatter control) messages: signaled center v notifies the
   // machines holding its scatter-direction edges. Byte counts only —
@@ -224,66 +252,76 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     while (mask != 0) {
       sim::MachineId m = static_cast<sim::MachineId>(std::countr_zero(mask));
       mask &= mask - 1;
-      accs[lane].ChargeSendBytes(master, sizes.control_message);
-      accs[lane].ChargeReceiveBytes(m, sizes.control_message);
+      scatter_accs[lane].ChargeSendBytes(master, sizes.control_message);
+      scatter_accs[lane].ChargeReceiveBytes(m, sizes.control_message);
     }
   };
 
   // Wakes the scatter-direction neighbors of one signaled center through
-  // `set_bit` and charges its scatter work through the plan's
-  // (machine, count) run tables — one multiply per distinct machine.
-  // Wakeups are idempotent ORs and charges are integer sums, so neither
-  // depends on entry order.
-  auto scatter_vertex = [&](graph::VertexId v, uint32_t lane,
-                            auto&& set_bit) {
-    for (uint64_t s = plan.scatter_offsets[v];
-         s < plan.scatter_offsets[v + 1]; ++s) {
-      set_bit(plan.scatter_target[s]);
+  // `wake` and charges its scatter work through the plan's (machine, count)
+  // run tables — one multiply per distinct machine — to the lane's scatter
+  // accumulator. Wakeups are idempotent ORs and charges are integer sums,
+  // so neither depends on entry order. Scatter reads only the plan and
+  // writes only next_active, which apply never reads, so it runs in the
+  // apply pass as soon as its center signals.
+  const std::vector<uint64_t>& scatter_offsets = plan.scatter_offsets();
+  const std::vector<graph::VertexId>& scatter_target = plan.scatter_target();
+  const std::vector<uint64_t>& scatter_run_offsets =
+      plan.scatter_run_offsets();
+  const std::vector<uint32_t>& scatter_runs = plan.scatter_runs();
+  auto scatter_vertex = [&](graph::VertexId v, uint32_t lane, auto&& wake) {
+    for (uint64_t s = scatter_offsets[v]; s < scatter_offsets[v + 1]; ++s) {
+      wake(scatter_target[s]);
     }
-    for (uint64_t r = plan.scatter_run_offsets[v];
-         r < plan.scatter_run_offsets[v + 1]; ++r) {
-      const uint32_t run = plan.scatter_runs[r];
-      accs[lane].AddTicks(
+    for (uint64_t r = scatter_run_offsets[v]; r < scatter_run_offsets[v + 1];
+         ++r) {
+      const uint32_t run = scatter_runs[r];
+      scatter_accs[lane].AddTicks(
           ExecutionPlan::RunMachine(run),
           sim::kTicksPerWorkUnit * ExecutionPlan::RunCount(run));
     }
   };
 
-  // Scatter minor-step from `from` into `into`: wake the scatter-direction
-  // neighbors of every signaled center. Activation signals piggyback on the
-  // state-sync messages sent for the same vertices (the real engines
-  // coalesce them), so scatter itself only charges compute work. On dense
-  // frontiers each lane collects wakeups in its own bitset (plain
-  // single-writer stores), merged afterwards with one word-parallel
-  // OrWith per lane, so the hot loop carries no lock-prefixed RMW; sparse
-  // frontiers stay on SetAtomic — merging whole-size bitsets would cost
-  // O(n/64) per lane to publish a handful of bits.
-  std::vector<util::DenseBitset> scatter_local;
-  auto scatter_frontier = [&](const util::DenseBitset& from, uint64_t count,
-                              util::DenseBitset& into) {
-    const bool dense = count * 32 >= static_cast<uint64_t>(n);
-    if (dense) {
-      if (scatter_local.empty()) {
-        for (uint32_t t = 0; t < pool.num_threads(); ++t) {
-          scatter_local.emplace_back(n);
-        }
-      } else {
-        for (util::DenseBitset& local : scatter_local) local.ClearAll();
-      }
-      for_each_frontier(from, count, [&](graph::VertexId v, uint32_t lane) {
-        util::DenseBitset& local = scatter_local[lane];
-        scatter_vertex(v, lane,
-                       [&](graph::VertexId t) { local.Set(t); });
+  // Runs visit(v, lane, wake) over the frontier in `active`, where wake(t)
+  // puts t into next_active (clear on entry), and returns the size of
+  // next_active — taken from the work, never from a sweep. A sparse
+  // frontier wakes through SetAtomic, and each lane counts the bits it
+  // turned on. A dense one has each lane collect wakeups in its own bitset
+  // (plain single-writer stores, no lock-prefixed RMW in the hot loop),
+  // merged afterwards with one word-parallel OrWith per lane and counted
+  // once; a sparse one skips that, since merging whole-size bitsets would
+  // cost O(n/64) per lane to publish a handful of bits.
+  std::vector<util::DenseBitset> wake_local;
+  auto wake_pass = [&](bool sparse, auto&& visit) -> uint64_t {
+    if (sparse) {
+      for_each_frontier(true, [&](graph::VertexId v, uint32_t lane) {
+        uint64_t& woken = lane_counts[lane].value.woken;
+        visit(v, lane, [&](graph::VertexId t) {
+          woken += next_active.SetAtomic(t) ? 1 : 0;
+        });
       });
-      for (const util::DenseBitset& local : scatter_local) {
-        into.OrWith(local);
+      uint64_t total = 0;
+      for (util::CacheLinePadded<LaneCounts>& lane : lane_counts) {
+        total += lane.value.woken;
+        lane.value.woken = 0;
+      }
+      return total;
+    }
+    if (wake_local.empty()) {
+      for (uint32_t t = 0; t < pool.num_threads(); ++t) {
+        wake_local.emplace_back(n);
       }
     } else {
-      for_each_frontier(from, count, [&](graph::VertexId v, uint32_t lane) {
-        scatter_vertex(v, lane,
-                       [&](graph::VertexId t) { into.SetAtomic(t); });
-      });
+      for (util::DenseBitset& local : wake_local) local.ClearAll();
     }
+    for_each_frontier(false, [&](graph::VertexId v, uint32_t lane) {
+      util::DenseBitset& local = wake_local[lane];
+      visit(v, lane, [&](graph::VertexId t) { local.Set(t); });
+    });
+    for (const util::DenseBitset& local : wake_local) {
+      next_active.OrWith(local);
+    }
+    return next_active.CountSet();
   };
 
   // Optional bootstrap: initially active vertices announce themselves;
@@ -291,13 +329,16 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   if (App::kBootstrapScatter) {
     obs::ScopedSpan bootstrap_span(exec.trace, exec.trace_track, "bootstrap",
                                    "engine", cluster.now_seconds());
-    const uint64_t init_count = active.CountSet();
-    scatter_frontier(active, init_count, next_active);
-    for_each_frontier(active, init_count, charge_activation);
-    const auto [scatter_ticks, scatter_bytes] = flush_accs();
+    const uint64_t init_count = active_count;
+    active_count = wake_pass(
+        prepare_frontier(init_count),
+        [&](graph::VertexId v, uint32_t lane, auto&& wake) {
+          scatter_vertex(v, lane, wake);
+          charge_activation(v, lane);
+        });
+    const auto [scatter_ticks, scatter_bytes] = flush(scatter_accs);
     cluster.EndPhase(work_mul);
     std::swap(active, next_active);
-    next_active.ClearAll();
     bootstrap_span.Arg("frontier", static_cast<int64_t>(init_count));
     bootstrap_span.Arg("scatter_ticks", static_cast<int64_t>(scatter_ticks));
     bootstrap_span.Arg("scatter_bytes", static_cast<int64_t>(scatter_bytes));
@@ -314,7 +355,6 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
   std::vector<Gather> contrib;
   uint32_t iteration = 0;
   for (; iteration < options.max_iterations; ++iteration) {
-    const uint64_t active_count = active.CountSet();
     stats.active_counts.push_back(active_count);
     if (active_count == 0) {
       stats.converged = true;
@@ -323,6 +363,8 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     observer.BeginSuperstep(iteration);
     SuperstepBreakdown breakdown;
     breakdown.frontier = active_count;
+    // Every per-superstep decision below depends only on this count.
+    const bool sparse = prepare_frontier(active_count);
 
     // ---- Gather minor-step ------------------------------------------------
     // Each active center folds its gather-direction neighbors through the
@@ -358,7 +400,7 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     }
 
     for_each_frontier(
-        active, active_count, [&](graph::VertexId v, uint32_t lane) {
+        sparse, [&](graph::VertexId v, uint32_t lane) {
           const uint64_t begin = plan.gather_offsets[v];
           const uint64_t end = plan.gather_offsets[v + 1];
           Gather folded = gather_identity;
@@ -388,18 +430,20 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
           acc[v] = std::move(folded);
           has_gather[v] = begin != end;
         });
-    std::tie(breakdown.gather_ticks, breakdown.gather_bytes) = flush_accs();
+    std::tie(breakdown.gather_ticks, breakdown.gather_bytes) = flush(accs);
 
-    // ---- Apply minor-step + message accounting ----------------------------
-    signaled.ClearAll();
-    for_each_frontier(
-        active, active_count, [&](graph::VertexId v, uint32_t lane) {
+    // ---- Apply + scatter minor-steps, one pass ----------------------------
+    // Apply charges its compute and messages to `accs`; a center that
+    // signals scatters at once, charging `scatter_accs`.
+    next_active.ClearAll();
+    const uint64_t next_count = wake_pass(
+        sparse, [&](graph::VertexId v, uint32_t lane, auto&& wake) {
           sim::PhaseAccumulator& a = accs[lane];
+          LaneCounts& counts = lane_counts[lane].value;
           const sim::MachineId master = masks.master_machine[v];
           a.AddTicks(master, sim::kTicksPerWorkUnit);
           const bool signal =
               app.Apply(v, acc[v], has_gather[v] != 0, ctx, &state[v]);
-          if (signal) signaled.SetAtomic(v);
 
           const uint64_t master_bit = 1ULL << master;
 
@@ -408,9 +452,9 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
             // the ExecutionPlan fan-out comment).
             const uint64_t blocks =
                 plan.gather_partition_count[v] +
-                (signal ? plan.scatter_partition_count[v] : 0u);
+                (signal ? plan.scatter_partition_count()[v] : 0u);
             a.AddTicks(master, sim::kShuffleBlockTicks * blocks);
-            if (observed) lane_blocks[lane].value += blocks;
+            if (observed) counts.graphx_blocks += blocks;
           }
 
           // Gather messages: mirrors -> master, a round trip each (the
@@ -436,8 +480,11 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
           // changed; always for always-signaling apps like PageRank).
           // PowerGraph syncs every mirror; GraphX ships to the machines
           // holding scatter-direction edges, and PowerLyra does too for
-          // low-degree vertices.
+          // low-degree vertices. Activation signals piggyback on these
+          // messages (the real engines coalesce them), so scatter itself
+          // only charges compute work.
           if (signal) {
+            ++counts.signaled;
             const bool low_degree = (in_degree[v] + out_degree[v]) <=
                                     options.high_degree_threshold;
             const bool all_mirrors =
@@ -456,21 +503,17 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
               a.ChargeReceiveBytes(dst, sizes.sync_message);
               a.AddTicks(master, sim::kSerializeTicks);
             }
+            scatter_vertex(v, lane, wake);
           }
         });
-    std::tie(breakdown.apply_ticks, breakdown.apply_bytes) = flush_accs();
-    for (util::CacheLinePadded<uint64_t>& blocks : lane_blocks) {
-      breakdown.graphx_blocks += blocks.value;
-      blocks.value = 0;
-    }
-    const uint64_t signaled_count = signaled.CountSet();
-
-    // ---- Scatter minor-step ----------------------------------------------
-    next_active.ClearAll();
-    if (signaled_count > 0) {
-      scatter_frontier(signaled, signaled_count, next_active);
-      std::tie(breakdown.scatter_ticks, breakdown.scatter_bytes) =
-          flush_accs();
+    std::tie(breakdown.apply_ticks, breakdown.apply_bytes) = flush(accs);
+    std::tie(breakdown.scatter_ticks, breakdown.scatter_bytes) =
+        flush(scatter_accs);
+    for (util::CacheLinePadded<LaneCounts>& lane : lane_counts) {
+      breakdown.signaled += lane.value.signaled;
+      breakdown.graphx_blocks += lane.value.graphx_blocks;
+      lane.value.signaled = 0;
+      lane.value.graphx_blocks = 0;
     }
 
     // Three minor-step barriers per superstep (§5.1.2).
@@ -478,16 +521,16 @@ GasRunResult<App> RunGasEngine(EngineKind kind, const ExecutionPlan& plan,
     cluster.AdvanceSeconds(2 * cluster.cost_model().barrier_latency_seconds);
     stats.cumulative_seconds.push_back(cluster.now_seconds() -
                                        compute_start);
-    breakdown.signaled = signaled_count;
     observer.EndSuperstep(breakdown);
     std::swap(active, next_active);
+    active_count = next_count;
   }
 
   observer.Finish();
   stats.iterations = iteration;
   if (!stats.converged && iteration == options.max_iterations) {
     // Ran to the iteration cap; report whether anything is still active.
-    stats.converged = !active.AnySet();
+    stats.converged = active_count == 0;
   }
   stats.compute_seconds = cluster.now_seconds() - compute_start;
   stats.network_bytes = cluster.TotalBytesSent() - bytes_sent_start;

@@ -109,13 +109,19 @@ void FillRuns(const std::vector<uint64_t>& offsets,
 }
 
 /// Cuts [0, n) into `stripes` contiguous ranges of about equal gather plus
-/// scatter entries; stripe s is [cuts[s], cuts[s + 1]). A center holding
-/// more than one stripe's share leaves the stripes behind it empty.
+/// scatter entries; stripe s is [cuts[s], cuts[s + 1]). `scatter_offsets`
+/// is empty for a plan that shares its CSR, whose lanes fill one side only.
+/// A center holding more than one stripe's share leaves the stripes behind
+/// it empty.
 std::vector<graph::VertexId> CutStripes(
     const std::vector<uint64_t>& gather_offsets,
     const std::vector<uint64_t>& scatter_offsets, uint32_t stripes) {
   const auto n = static_cast<graph::VertexId>(gather_offsets.size() - 1);
-  const uint64_t total = gather_offsets[n] + scatter_offsets[n];
+  auto entries_before = [&](graph::VertexId v) {
+    return gather_offsets[v] +
+           (scatter_offsets.empty() ? 0 : scatter_offsets[v]);
+  };
+  const uint64_t total = entries_before(n);
   std::vector<graph::VertexId> cuts(stripes + 1, n);
   cuts[0] = 0;
   graph::VertexId v = 0;
@@ -123,7 +129,7 @@ std::vector<graph::VertexId> CutStripes(
     // total * s / stripes, without the overflow.
     const uint64_t target =
         total / stripes * s + total % stripes * s / stripes;
-    while (v < n && gather_offsets[v] + scatter_offsets[v] < target) ++v;
+    while (v < n && entries_before(v) < target) ++v;
     cuts[s] = v;
   }
   return cuts;
@@ -134,7 +140,7 @@ std::vector<graph::VertexId> CutStripes(
 }  // namespace internal
 
 uint64_t ExecutionPlan::AdjacencyBytes() const {
-  return (gather_nbr.size() + scatter_target.size()) *
+  return (gather_nbr.size() + scatter_target_.size()) *
          sizeof(graph::VertexId);
 }
 
@@ -158,8 +164,10 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
 
   const bool gather_in = IncludesIn(gather_dir);
   const bool gather_out = IncludesOut(gather_dir);
-  const bool scatter_in = IncludesIn(scatter_dir);
-  const bool scatter_out = IncludesOut(scatter_dir);
+  // A plan that shares its CSR fills the gather side only.
+  const bool own_scatter = !plan.SharesCsr();
+  const bool scatter_in = own_scatter && IncludesIn(scatter_dir);
+  const bool scatter_out = own_scatter && IncludesOut(scatter_dir);
 
   // CSR sizing. A center's gather entry count is gi * in_degree +
   // go * out_degree (and symmetrically for scatter) — the degree arrays
@@ -170,27 +178,32 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
   const uint64_t si = scatter_in ? 1 : 0;
   const uint64_t so = scatter_out ? 1 : 0;
   plan.gather_offsets.assign(n + 1, 0);
-  plan.scatter_offsets.assign(n + 1, 0);
   for (graph::VertexId v = 0; v < n; ++v) {
     plan.gather_offsets[v + 1] =
         plan.gather_offsets[v] + gi * in_deg[v] + go * out_deg[v];
-    plan.scatter_offsets[v + 1] =
-        plan.scatter_offsets[v] + si * in_deg[v] + so * out_deg[v];
   }
+  if (own_scatter) {
+    plan.scatter_offsets_.assign(n + 1, 0);
+    for (graph::VertexId v = 0; v < n; ++v) {
+      plan.scatter_offsets_[v + 1] =
+          plan.scatter_offsets_[v] + si * in_deg[v] + so * out_deg[v];
+    }
+  }
+  const uint64_t scatter_entries = own_scatter ? plan.scatter_offsets_[n] : 0;
   plan.gather_nbr.resize(plan.gather_offsets[n]);
-  plan.scatter_target.resize(plan.scatter_offsets[n]);
+  plan.scatter_target_.resize(scatter_entries);
   // Per-entry machine tags, slot-aligned with the neighbor arrays. They
   // only feed the accounting run tables below and die with this frame.
   std::vector<uint8_t> gather_tags(plan.gather_offsets[n]);
-  std::vector<uint8_t> scatter_tags(plan.scatter_offsets[n]);
+  std::vector<uint8_t> scatter_tags(scatter_entries);
 
   plan.masks = internal::ZeroMasks(n);
   if (graphx_counts) {
     plan.gather_partition_count.assign(n, 0);
-    plan.scatter_partition_count.assign(n, 0);
+    if (own_scatter) plan.scatter_partition_count_.assign(n, 0);
   }
   plan.gather_run_offsets.assign(n + 1, 0);
-  plan.scatter_run_offsets.assign(n + 1, 0);
+  if (own_scatter) plan.scatter_run_offsets_.assign(n + 1, 0);
 
   // One contiguous stripe of centers per lane. A lane writes only its own
   // centers' slots, so no write is shared, and the plan does not depend on
@@ -198,7 +211,7 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
   util::ThreadPool pool(num_threads);
   const uint32_t lanes = pool.num_threads();
   const std::vector<graph::VertexId> cuts =
-      internal::CutStripes(plan.gather_offsets, plan.scatter_offsets, lanes);
+      internal::CutStripes(plan.gather_offsets, plan.scatter_offsets_, lanes);
 
   // Every buffer is allocated here, on the calling thread; the lanes only
   // write into it. Each center's next free slot starts at its offset. Each
@@ -211,8 +224,11 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
   util::LineVector<uint64_t> counts(lanes * counts_stride, 0);
   std::vector<uint64_t> gather_cursor(plan.gather_offsets.begin(),
                                       plan.gather_offsets.end() - 1);
-  std::vector<uint64_t> scatter_cursor(plan.scatter_offsets.begin(),
-                                       plan.scatter_offsets.end() - 1);
+  std::vector<uint64_t> scatter_cursor;
+  if (own_scatter) {
+    scatter_cursor.assign(plan.scatter_offsets_.begin(),
+                          plan.scatter_offsets_.end() - 1);
+  }
   pool.ParallelFor(lanes, [&](uint64_t stripe, uint32_t /*lane*/) {
     const graph::VertexId lo = cuts[stripe];
     const graph::VertexId hi = cuts[stripe + 1];
@@ -230,8 +246,10 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
         if (scatter_out) scatter += out;
         plan.gather_partition_count[v] =
             static_cast<uint16_t>(gather > 65535 ? 65535 : gather);
-        plan.scatter_partition_count[v] =
-            static_cast<uint16_t>(scatter > 65535 ? 65535 : scatter);
+        if (own_scatter) {
+          plan.scatter_partition_count_[v] =
+              static_cast<uint16_t>(scatter > 65535 ? 65535 : scatter);
+        }
       }
     }
 
@@ -262,12 +280,12 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
       }
       if (scatter_out && src_here) {
         const uint64_t slot = scatter_cursor[e.src]++;
-        plan.scatter_target[slot] = e.dst;
+        plan.scatter_target_[slot] = e.dst;
         scatter_tags[slot] = m;
       }
       if (scatter_in && dst_here) {
         const uint64_t slot = scatter_cursor[e.dst]++;
-        plan.scatter_target[slot] = e.src;
+        plan.scatter_target_[slot] = e.src;
         scatter_tags[slot] = m;
       }
     }
@@ -275,9 +293,11 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
     uint64_t* stripe_counts = counts.data() + stripe * counts_stride;
     internal::CountRuns(plan.gather_offsets, gather_tags, lo, hi,
                         num_machines, stripe_counts, &plan.gather_run_offsets);
-    internal::CountRuns(plan.scatter_offsets, scatter_tags, lo, hi,
-                        num_machines, stripe_counts,
-                        &plan.scatter_run_offsets);
+    if (own_scatter) {
+      internal::CountRuns(plan.scatter_offsets_, scatter_tags, lo, hi,
+                          num_machines, stripe_counts,
+                          &plan.scatter_run_offsets_);
+    }
   });
   // The cursors now sit at the next center's offset; free them before the
   // run tables grow.
@@ -289,11 +309,13 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
   std::partial_sum(plan.gather_run_offsets.begin(),
                    plan.gather_run_offsets.end(),
                    plan.gather_run_offsets.begin());
-  std::partial_sum(plan.scatter_run_offsets.begin(),
-                   plan.scatter_run_offsets.end(),
-                   plan.scatter_run_offsets.begin());
   plan.gather_runs.resize(plan.gather_run_offsets[n]);
-  plan.scatter_runs.resize(plan.scatter_run_offsets[n]);
+  if (own_scatter) {
+    std::partial_sum(plan.scatter_run_offsets_.begin(),
+                     plan.scatter_run_offsets_.end(),
+                     plan.scatter_run_offsets_.begin());
+    plan.scatter_runs_.resize(plan.scatter_run_offsets_[n]);
+  }
   pool.ParallelFor(lanes, [&](uint64_t stripe, uint32_t /*lane*/) {
     const graph::VertexId lo = cuts[stripe];
     const graph::VertexId hi = cuts[stripe + 1];
@@ -301,14 +323,18 @@ ExecutionPlan ExecutionPlan::Build(const partition::DistributedGraph& dg,
     internal::FillRuns(plan.gather_offsets, gather_tags,
                        plan.gather_run_offsets, lo, hi, num_machines,
                        stripe_counts, &plan.gather_runs);
-    internal::FillRuns(plan.scatter_offsets, scatter_tags,
-                       plan.scatter_run_offsets, lo, hi, num_machines,
-                       stripe_counts, &plan.scatter_runs);
+    if (own_scatter) {
+      internal::FillRuns(plan.scatter_offsets_, scatter_tags,
+                         plan.scatter_run_offsets_, lo, hi, num_machines,
+                         stripe_counts, &plan.scatter_runs_);
+    }
   });
 
   GDP_DCHECK_OK(partition::ValidateCsr(plan.gather_offsets, plan.gather_nbr));
-  GDP_DCHECK_OK(
-      partition::ValidateCsr(plan.scatter_offsets, plan.scatter_target));
+  if (own_scatter) {
+    GDP_DCHECK_OK(
+        partition::ValidateCsr(plan.scatter_offsets_, plan.scatter_target_));
+  }
   return plan;
 }
 

@@ -62,6 +62,15 @@ inline uint64_t DirectionMask(const MachineMasks& masks, EdgeDirection dir,
 /// engine's floating-point gather results bit-for-bit. Build keeps it at
 /// any thread count: one lane owns each center and appends its entries
 /// while scanning the edges in order.
+///
+/// A plan whose gather and scatter directions are equal (every kBoth/kBoth
+/// application: undirected SSSP, WCC, k-core, coloring, label propagation
+/// and the multi-source BFS/SSSP kernels) stores one CSR. Its two sides would be the
+/// same entry for entry — same neighbors in the same per-center edge
+/// order, same machine tags, hence the same run tables and fan-out counts
+/// — so Build leaves the scatter fields empty and the scatter accessors
+/// return the gather side. Whether a plan shares follows from its two
+/// directions (SharesCsr()); no flag is stored.
 struct ExecutionPlan {
   const partition::DistributedGraph* dg = nullptr;
   EdgeDirection gather_dir = EdgeDirection::kNone;
@@ -75,11 +84,6 @@ struct ExecutionPlan {
   /// Neighbor whose state v folds, per entry.
   std::vector<graph::VertexId> gather_nbr;
 
-  /// Scatter adjacency offsets (same contract as gather_offsets).
-  std::vector<uint64_t> scatter_offsets;
-  /// Neighbor woken into the next frontier, per entry.
-  std::vector<graph::VertexId> scatter_target;
-
   // --- Batch-accounting run tables -----------------------------------------
   // For center v, entries [gather_run_offsets[v], gather_run_offsets[v+1])
   // of gather_runs are packed (machine, count) pairs in ascending machine
@@ -87,11 +91,10 @@ struct ExecutionPlan {
   // (sim::kTicksPerWorkUnit ticks each) to `machine`. Ticks are integers
   // and integer sums are order-free, so folding a vertex's per-edge charges
   // into per-machine counts is bit-identical to charging them one edge at
-  // a time. At most num_machines runs per vertex.
+  // a time. At most num_machines runs per vertex. The scatter side has the
+  // same format.
   std::vector<uint64_t> gather_run_offsets;
   std::vector<uint32_t> gather_runs;
-  std::vector<uint64_t> scatter_run_offsets;
-  std::vector<uint32_t> scatter_runs;
 
   /// Packed-run format: machine in the high 6 bits, count in the low 26.
   static constexpr uint32_t kRunCountBits = 26;
@@ -108,11 +111,34 @@ struct ExecutionPlan {
   /// its compute cost tracks partition-level replication even when
   /// partitions share machines (§7.4).
   std::vector<uint16_t> gather_partition_count;
-  std::vector<uint16_t> scatter_partition_count;
 
-  /// Bytes held by the per-entry neighbor arrays (gather_nbr,
-  /// scatter_target): what PlanCache's byte budget charges per plan.
-  /// The per-vertex structures (offsets, runs, masks) are not counted.
+  /// True when the scatter side is the gather side (equal directions).
+  bool SharesCsr() const { return gather_dir == scatter_dir; }
+
+  /// Scatter adjacency offsets (same contract as gather_offsets).
+  const std::vector<uint64_t>& scatter_offsets() const {
+    return SharesCsr() ? gather_offsets : scatter_offsets_;
+  }
+  /// Neighbor woken into the next frontier, per entry.
+  const std::vector<graph::VertexId>& scatter_target() const {
+    return SharesCsr() ? gather_nbr : scatter_target_;
+  }
+  /// Scatter accounting runs (same contract as the gather run tables).
+  const std::vector<uint64_t>& scatter_run_offsets() const {
+    return SharesCsr() ? gather_run_offsets : scatter_run_offsets_;
+  }
+  const std::vector<uint32_t>& scatter_runs() const {
+    return SharesCsr() ? gather_runs : scatter_runs_;
+  }
+  /// GraphX scatter-direction fan-out counts (empty otherwise).
+  const std::vector<uint16_t>& scatter_partition_count() const {
+    return SharesCsr() ? gather_partition_count : scatter_partition_count_;
+  }
+
+  /// Bytes held by the per-entry neighbor arrays (gather_nbr and the
+  /// scatter targets): what PlanCache's byte budget charges per plan. A
+  /// plan that shares its CSR holds, and is charged, one array. The
+  /// per-vertex structures (offsets, runs, masks) are not counted.
   uint64_t AdjacencyBytes() const;
 
   /// Builds a plan for the given directions. `graphx_counts` additionally
@@ -124,6 +150,15 @@ struct ExecutionPlan {
                              EdgeDirection gather_dir,
                              EdgeDirection scatter_dir, bool graphx_counts,
                              uint32_t num_threads = 0);
+
+ private:
+  // The scatter side's own storage, left empty when SharesCsr(); read it
+  // through the accessors above.
+  std::vector<uint64_t> scatter_offsets_;
+  std::vector<graph::VertexId> scatter_target_;
+  std::vector<uint64_t> scatter_run_offsets_;
+  std::vector<uint32_t> scatter_runs_;
+  std::vector<uint16_t> scatter_partition_count_;
 };
 
 }  // namespace gdp::engine

@@ -11,13 +11,14 @@
 
 namespace gdp::util {
 
-/// Fixed-size bitset for engine frontiers (active / signaled / next-active
-/// vertex sets). Unlike std::vector<bool> it exposes the word array, so
-/// iteration over set bits skips empty regions 64 vertices at a time and a
-/// popcount costs one instruction per word — the standard representation in
-/// graph engines (PowerGraph's dense_bitset). Concurrent writers from a
-/// parallel scatter use SetAtomic, which is safe on overlapping words;
-/// everything else is single-writer.
+/// Fixed-size bitset for engine frontiers (the active and next-active
+/// vertex sets, and each lane's wake set on dense supersteps). Unlike
+/// std::vector<bool> it exposes the word array, so iteration over set bits
+/// skips empty regions 64 vertices at a time and a popcount costs one
+/// instruction per word — the standard representation in graph engines
+/// (PowerGraph's dense_bitset). Concurrent writers from a parallel scatter
+/// use SetAtomic, which is safe on overlapping words and reports which call
+/// turned each bit on; everything else is single-writer.
 class DenseBitset {
  public:
   DenseBitset() = default;
@@ -47,30 +48,18 @@ class DenseBitset {
     words_[i >> 6] &= ~(1ULL << (i & 63));
   }
 
-  /// Concurrent-safe set (relaxed fetch_or): idempotent and commutative, so
-  /// the final bitset is independent of thread interleaving.
-  void SetAtomic(uint64_t i) {
+  /// Concurrent-safe set: returns true iff this call turned bit i on, so
+  /// concurrent setters can count the bits they added without a sweep. Of
+  /// any number of calls racing on one bit exactly one returns true, and
+  /// the final bitset is independent of thread interleaving. A relaxed load
+  /// skips the locked RMW when the bit is already on; the single-bit
+  /// fetch_or compiles to `lock bts`, with no compare-exchange loop.
+  bool SetAtomic(uint64_t i) {
     GDP_DCHECK_LT(i, size_);
     std::atomic_ref<uint64_t> word(words_[i >> 6]);
-    word.fetch_or(1ULL << (i & 63), std::memory_order_relaxed);
-  }
-
-  /// Concurrent-safe bulk set: ORs a whole word of bits into word `w` with
-  /// one relaxed fetch_or instead of 64 single-bit RMWs. Bits beyond size()
-  /// in the final word are masked off, so the class invariant (tail bits
-  /// stay zero) holds for any input.
-  void SetAtomicWord(uint64_t w, uint64_t bits) {
-    GDP_DCHECK_LT(w, words_.size());
-    bits &= TailMask(w);
-    if (bits == 0) return;
-    std::atomic_ref<uint64_t> word(words_[w]);
-    word.fetch_or(bits, std::memory_order_relaxed);
-  }
-
-  /// Word w of the backing array (bit i lives in word i >> 6).
-  uint64_t Word(uint64_t w) const {
-    GDP_DCHECK_LT(w, words_.size());
-    return words_[w];
+    const uint64_t bit = 1ULL << (i & 63);
+    if ((word.load(std::memory_order_relaxed) & bit) != 0) return false;
+    return (word.fetch_or(bit, std::memory_order_relaxed) & bit) == 0;
   }
 
   /// Single-writer word-parallel union: this |= other. Sizes must match.
@@ -84,17 +73,6 @@ class DenseBitset {
     for (uint64_t w = 0; w < nw; ++w) dst[w] |= src[w];
   }
 
-  /// Single-writer word-parallel intersection: this &= other. Sizes must
-  /// match. Used to mask a frontier against a filter set (e.g. still-alive
-  /// vertices) without touching one bit at a time.
-  void AndWith(const DenseBitset& other) {
-    GDP_DCHECK_EQ(size_, other.size_);
-    const uint64_t* __restrict src = other.words_.data();
-    uint64_t* __restrict dst = words_.data();
-    const uint64_t nw = words_.size();
-    for (uint64_t w = 0; w < nw; ++w) dst[w] &= src[w];
-  }
-
   void ClearAll() {
     if (!words_.empty()) {
       std::memset(words_.data(), 0, words_.size() * sizeof(uint64_t));
@@ -105,24 +83,6 @@ class DenseBitset {
     uint64_t count = 0;
     for (uint64_t w : words_) count += std::popcount(w);
     return count;
-  }
-
-  /// Set bits whose word lies in [word_begin, word_end): one popcount per
-  /// word, so block-sharded callers can size work without visiting bits.
-  uint64_t CountSetInWordRange(uint64_t word_begin, uint64_t word_end) const {
-    GDP_DCHECK_LE(word_end, words_.size());
-    uint64_t count = 0;
-    for (uint64_t w = word_begin; w < word_end; ++w) {
-      count += std::popcount(words_[w]);
-    }
-    return count;
-  }
-
-  bool AnySet() const {
-    for (uint64_t w : words_) {
-      if (w != 0) return true;
-    }
-    return false;
   }
 
   /// Calls fn(index) for every set bit, ascending.
@@ -155,14 +115,6 @@ class DenseBitset {
   }
 
  private:
-  /// Valid-bit mask for word w: all-ones except in the last word of a size
-  /// not divisible by 64, where only the low size%64 bits are real.
-  uint64_t TailMask(uint64_t w) const {
-    const uint64_t tail = size_ & 63;
-    if (tail == 0 || w + 1 != words_.size()) return ~0ULL;
-    return (1ULL << tail) - 1;
-  }
-
   uint64_t size_ = 0;
   std::vector<uint64_t> words_;
 };

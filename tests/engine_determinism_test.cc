@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "engine/plan.h"
 #include "engine/reference_engine.h"
 #include "graph/generators.h"
+#include "obs/trace.h"
 #include "partition/distributed_graph.h"
 #include "partition/ingest.h"
 #include "sim/cluster.h"
@@ -34,7 +37,7 @@ using partition::PartitionContext;
 using partition::StrategyKind;
 
 constexpr uint32_t kMachines = 9;
-constexpr uint32_t kThreadCounts[] = {1, 2, 8};
+constexpr std::initializer_list<uint32_t> kThreadCounts = {1, 2, 8};
 
 IngestResult Partition(const graph::EdgeList& edges, sim::Cluster& cluster) {
   PartitionContext context;
@@ -91,25 +94,50 @@ void ExpectClustersIdentical(const sim::Cluster& got,
   EXPECT_EQ(got.now_seconds(), want.now_seconds());
 }
 
+/// A span's name, depth, simulated clocks and integer args — everything
+/// but its wall clock.
+using SimSpan = std::tuple<std::string, uint32_t, double, double,
+                           std::vector<std::pair<std::string, int64_t>>>;
+
+std::vector<SimSpan> SimSpans(const obs::TraceRecorder& trace) {
+  std::vector<SimSpan> out;
+  for (const obs::TraceSpan& span : trace.SpansByTrack()) {
+    out.emplace_back(span.name, span.depth, span.sim_begin_seconds,
+                     span.sim_end_seconds, span.args);
+  }
+  return out;
+}
+
 /// Runs `app` through the serial reference engine once, then through the
-/// parallel engine at 1/2/8 threads, demanding bit-identical states, stats,
-/// and per-machine cluster accounting each time.
+/// parallel engine at each thread count, demanding bit-identical states,
+/// stats, per-machine cluster accounting and superstep spans (frontier,
+/// signaled, and the gather/apply/scatter ticks and bytes) each time.
+/// Stores the reference's stats in `ref_stats` when given.
 template <typename App>
-void ExpectBitIdenticalAcrossThreads(EngineKind kind,
-                                     const graph::EdgeList& edges, App app,
-                                     RunOptions options) {
+void ExpectBitIdenticalAcrossThreads(
+    EngineKind kind, const graph::EdgeList& edges, App app,
+    RunOptions options,
+    std::initializer_list<uint32_t> thread_counts = kThreadCounts,
+    RunStats* ref_stats = nullptr) {
   sim::Cluster ref_cluster(kMachines, sim::CostModel{});
   IngestResult ref_ingest = Partition(edges, ref_cluster);
+  obs::TraceRecorder ref_trace;
+  RunOptions ref_options = options;
+  ref_options.exec.trace = &ref_trace;
   auto ref = RunGasEngineReference(kind, ref_ingest.graph, ref_cluster, app,
-                                   options);
+                                   ref_options);
+  const std::vector<SimSpan> ref_spans = SimSpans(ref_trace);
+  if (ref_stats != nullptr) *ref_stats = ref.stats;
 
-  for (uint32_t threads : kThreadCounts) {
+  for (uint32_t threads : thread_counts) {
     SCOPED_TRACE(std::string(EngineKindName(kind)) + " threads=" +
                  std::to_string(threads));
     sim::Cluster cluster(kMachines, sim::CostModel{});
     IngestResult ingest = Partition(edges, cluster);
+    obs::TraceRecorder trace;
     RunOptions run_options = options;
     run_options.exec.num_threads = threads;
+    run_options.exec.trace = &trace;
     auto got = RunGasEngine(kind, ingest.graph, cluster, app, run_options);
 
     ASSERT_EQ(got.states.size(), ref.states.size());
@@ -118,6 +146,7 @@ void ExpectBitIdenticalAcrossThreads(EngineKind kind,
     }
     ExpectStatsIdentical(got.stats, ref.stats);
     ExpectClustersIdentical(cluster, ref_cluster);
+    EXPECT_EQ(SimSpans(trace), ref_spans);
   }
 }
 
@@ -160,6 +189,37 @@ TEST_P(EngineDeterminismTest, SsspGrid) {
   RunOptions options;
   options.max_iterations = 5000;
   ExpectBitIdenticalAcrossThreads(GetParam(), GridGraph(), app, options);
+}
+
+TEST_P(EngineDeterminismTest, SsspMultiChunkSparseLattice) {
+  // The graphs above are too small for a sparse frontier (under n/32) to
+  // fill a second 1,024-vertex chunk, so their sparse supersteps never
+  // split across lanes. On this 57,600-vertex lattice they do: the lanes
+  // share the apply+scatter pass, wake through SetAtomic and sum the bits
+  // they turned on. The run must also cross into dense supersteps, where
+  // the lanes' wake bitsets are merged and counted instead.
+  const graph::EdgeList lattice = graph::GenerateRoadNetwork(
+      {.width = 240, .height = 240, .drop_fraction = 0.2, .seed = 12});
+  apps::SsspApp app;
+  app.source = 1;
+  RunOptions options;
+  options.max_iterations = 5000;
+  RunStats ref;
+  ExpectBitIdenticalAcrossThreads(GetParam(), lattice, app, options,
+                                  {1, 2, 3, 8}, &ref);
+
+  const uint64_t n = lattice.num_vertices();
+  uint64_t multi_chunk_sparse = 0;
+  uint64_t dense = 0;
+  for (uint64_t frontier : ref.active_counts) {
+    if (frontier * 32 >= n) {
+      ++dense;
+    } else if (frontier > 1024) {
+      ++multi_chunk_sparse;
+    }
+  }
+  EXPECT_GT(multi_chunk_sparse, 0u);
+  EXPECT_GT(dense, 0u);
 }
 
 TEST_P(EngineDeterminismTest, WccPowerLaw) {
@@ -433,8 +493,8 @@ TEST(ExecutionPlanTest, AccountingRunsMatchPerEntryMachineCounts) {
   };
   check_side(gather, plan.gather_offsets, plan.gather_run_offsets,
              plan.gather_runs);
-  check_side(scatter, plan.scatter_offsets, plan.scatter_run_offsets,
-             plan.scatter_runs);
+  check_side(scatter, plan.scatter_offsets(), plan.scatter_run_offsets(),
+             plan.scatter_runs());
 }
 
 // ---------------------------------------------------------------------------
@@ -490,19 +550,20 @@ void ExpectPlansIdentical(const ExecutionPlan& got,
                   "master_machine");
   ExpectSameField(got.gather_offsets, want.gather_offsets, "gather_offsets");
   ExpectSameField(got.gather_nbr, want.gather_nbr, "gather_nbr");
-  ExpectSameField(got.scatter_offsets, want.scatter_offsets,
+  ExpectSameField(got.scatter_offsets(), want.scatter_offsets(),
                   "scatter_offsets");
-  ExpectSameField(got.scatter_target, want.scatter_target, "scatter_target");
+  ExpectSameField(got.scatter_target(), want.scatter_target(),
+                  "scatter_target");
   ExpectSameField(got.gather_run_offsets, want.gather_run_offsets,
                   "gather_run_offsets");
   ExpectSameField(got.gather_runs, want.gather_runs, "gather_runs");
-  ExpectSameField(got.scatter_run_offsets, want.scatter_run_offsets,
+  ExpectSameField(got.scatter_run_offsets(), want.scatter_run_offsets(),
                   "scatter_run_offsets");
-  ExpectSameField(got.scatter_runs, want.scatter_runs, "scatter_runs");
+  ExpectSameField(got.scatter_runs(), want.scatter_runs(), "scatter_runs");
   ExpectSameField(got.gather_partition_count, want.gather_partition_count,
                   "gather_partition_count");
-  ExpectSameField(got.scatter_partition_count, want.scatter_partition_count,
-                  "scatter_partition_count");
+  ExpectSameField(got.scatter_partition_count(),
+                  want.scatter_partition_count(), "scatter_partition_count");
 }
 
 ExecutionPlan BuildAt(const partition::DistributedGraph& dg,
@@ -538,6 +599,49 @@ TEST(ExecutionPlanTest, BuildIsThreadCountInvariant) {
         }
       }
     }
+  }
+}
+
+TEST(ExecutionPlanTest, SymmetricPlanSharesOneCsr) {
+  const graph::EdgeList edges = PowerLawGraph();
+  sim::Cluster cluster(kMachines, sim::CostModel{});
+  const IngestResult ingest = Partition(edges, cluster);
+  const partition::DistributedGraph& dg = ingest.graph;
+  const uint64_t entry_bytes = sizeof(graph::VertexId);
+  for (const bool graphx_counts : {false, true}) {
+    SCOPED_TRACE(graphx_counts ? "graphx" : "no graphx counts");
+    // kBoth/kBoth: the scatter side IS the gather side, charged once.
+    const ExecutionPlan shared =
+        BuildAt(dg, {EdgeDirection::kBoth, EdgeDirection::kBoth},
+                graphx_counts, 2);
+    EXPECT_TRUE(shared.SharesCsr());
+    EXPECT_EQ(&shared.scatter_offsets(), &shared.gather_offsets);
+    EXPECT_EQ(&shared.scatter_target(), &shared.gather_nbr);
+    EXPECT_EQ(&shared.scatter_run_offsets(), &shared.gather_run_offsets);
+    EXPECT_EQ(&shared.scatter_runs(), &shared.gather_runs);
+    EXPECT_EQ(&shared.scatter_partition_count(),
+              &shared.gather_partition_count);
+    EXPECT_EQ(shared.gather_nbr.size(), 2 * dg.edges.size());
+    EXPECT_EQ(shared.gather_partition_count.size(),
+              graphx_counts ? dg.num_vertices : 0u);
+    EXPECT_EQ(shared.AdjacencyBytes(), shared.gather_nbr.size() * entry_bytes);
+
+    // (kIn, kOut) still owns two CSRs, run tables and fan-out tables.
+    const ExecutionPlan split =
+        BuildAt(dg, {EdgeDirection::kIn, EdgeDirection::kOut}, graphx_counts,
+                2);
+    EXPECT_FALSE(split.SharesCsr());
+    EXPECT_NE(&split.scatter_offsets(), &split.gather_offsets);
+    EXPECT_NE(&split.scatter_target(), &split.gather_nbr);
+    EXPECT_NE(&split.scatter_run_offsets(), &split.gather_run_offsets);
+    EXPECT_NE(&split.scatter_runs(), &split.gather_runs);
+    EXPECT_NE(&split.scatter_partition_count(), &split.gather_partition_count);
+    EXPECT_EQ(split.scatter_offsets().size(), dg.num_vertices + 1u);
+    EXPECT_EQ(split.gather_nbr.size(), dg.edges.size());
+    EXPECT_EQ(split.scatter_target().size(), dg.edges.size());
+    EXPECT_EQ(split.scatter_partition_count().size(),
+              graphx_counts ? dg.num_vertices : 0u);
+    EXPECT_EQ(split.AdjacencyBytes(), 2 * dg.edges.size() * entry_bytes);
   }
 }
 
@@ -580,8 +684,8 @@ TEST(ExecutionPlanTest, AdjacencyFollowsEdgeOrder) {
           plan.gather_nbr.begin() + plan.gather_offsets[v],
           plan.gather_nbr.begin() + plan.gather_offsets[v + 1]);
       const std::vector<graph::VertexId> plan_scatter(
-          plan.scatter_target.begin() + plan.scatter_offsets[v],
-          plan.scatter_target.begin() + plan.scatter_offsets[v + 1]);
+          plan.scatter_target().begin() + plan.scatter_offsets()[v],
+          plan.scatter_target().begin() + plan.scatter_offsets()[v + 1]);
       ASSERT_EQ(plan_gather, gather[v]) << "v=" << v;
       ASSERT_EQ(plan_scatter, scatter[v]) << "v=" << v;
     }

@@ -66,7 +66,7 @@ TEST(ValidateTest, ExecutionPlanCsrsAreValid) {
         dg, gather, scatter, /*graphx_counts=*/false);
     util::Status status = ValidateCsr(plan.gather_offsets, plan.gather_nbr);
     EXPECT_TRUE(status.ok()) << status.ToString();
-    status = ValidateCsr(plan.scatter_offsets, plan.scatter_target);
+    status = ValidateCsr(plan.scatter_offsets(), plan.scatter_target());
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
   EXPECT_TRUE(ValidateCsr({}, {}).ok());  // empty CSR is valid
